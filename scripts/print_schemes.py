@@ -8,6 +8,7 @@ With no arguments, prints every scheme; ids may be decimal or 0b-binary.
 import sys
 
 from trivalent import TruthValue, enumerate_bnm_schemes, scheme_from_id, scheme_id
+from trivalent.scheme import _PRESET_CODES
 
 VALUES = (TruthValue.T, TruthValue.I, TruthValue.F)
 
@@ -28,7 +29,7 @@ def main() -> int:
         schemes = [scheme_from_id(int(arg, 0)) for arg in sys.argv[1:]]
     else:
         schemes = enumerate_bnm_schemes()
-    named = {15: "strong", 0: "weak", 10: "middle"}
+    named = {code: name for name, code in _PRESET_CODES.items()}
     for scheme in schemes:
         code = scheme_id(scheme)
         if code in named:

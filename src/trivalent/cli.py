@@ -10,6 +10,7 @@ exit codes are a function of the report content only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -22,9 +23,10 @@ from .closure import (
     transitive_closure,
 )
 from .characterize import derive_classical, replay_witness
-from .errors import ParseError, ResourceLimitError, TrivalentError
+from .errors import ParseError, TrivalentError
 from .formula import Inference, parse_inference
 from .scheme import (
+    _PRESET_CODES,
     Scheme,
     TruthValue,
     enumerate_bnm_schemes,
@@ -40,7 +42,6 @@ from .semantics import (
     TT,
     Valuation,
     find_countervaluation,
-    is_valid,
     parse_standard,
     satisfies_inference,
 )
@@ -96,10 +97,10 @@ def cmd_check(args) -> int:
                 entry["satisfied"] = satisfied
                 all_valid &= satisfied
             else:
-                valid = is_valid(logic, inf, args.atom_cap)
+                counter = find_countervaluation(logic, inf, args.atom_cap)
+                valid = counter is None
                 entry["valid"] = valid
                 if not valid:
-                    counter = find_countervaluation(logic, inf, args.atom_cap)
                     entry["countervaluation"] = {
                         k: v.symbol for k, v in counter.items
                     }
@@ -164,9 +165,6 @@ def cmd_derive(args) -> int:
     return 0 if witness.all_passed and replayed else 1
 
 
-_NAMED_IDS = {15: "strong", 0: "weak", 10: "middle"}
-
-
 def cmd_schemes(args) -> int:
     if args.check:
         text = Path(args.check).read_text(encoding="utf-8")
@@ -192,6 +190,7 @@ def cmd_schemes(args) -> int:
             )
         return 0
 
+    names = {code: name for name, code in _PRESET_CODES.items()} if args.named else {}
     rows = []
     for scheme in enumerate_bnm_schemes():
         code = scheme_id(scheme)
@@ -204,8 +203,8 @@ def cmd_schemes(args) -> int:
                 "or(i,1)": scheme.disj(TruthValue.I, TruthValue.T).symbol,
             },
         }
-        if args.named and code in _NAMED_IDS:
-            row["name"] = _NAMED_IDS[code]
+        if code in names:
+            row["name"] = names[code]
         if args.format == "json":
             row["tables"] = {
                 "neg": [v.symbol for v in scheme.neg_table],
@@ -417,21 +416,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
+    except (TrivalentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, ResourceLimitError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except TrivalentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print("error: formula nesting too deep", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -68,7 +68,9 @@ class Scheme:
 
     ``neg_table`` is indexed by the argument value; ``conj_table`` and
     ``disj_table`` are flat 9-tuples indexed by ``3*left + right``.
-    The name is a label only and does not take part in equality.
+    The name is a label only and does not take part in equality.  Whether
+    the tables are BNM is decided on the first :func:`is_bnm` call and kept
+    on the instance.
     """
 
     neg_table: UnaryTable
@@ -76,6 +78,7 @@ class Scheme:
     disj_table: BinaryTable
     name: str | None = field(default=None, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    _bnm: bool | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.neg_table) != 3 or len(self.conj_table) != 9 or len(self.disj_table) != 9:
@@ -157,7 +160,10 @@ def is_monotonic(s: Scheme) -> bool:
 
 
 def is_bnm(s: Scheme) -> bool:
-    return is_boolean_normal(s) and is_monotonic(s)
+    """Boolean normal and monotonic; decided once per scheme instance."""
+    if s._bnm is None:
+        object.__setattr__(s, "_bnm", is_boolean_normal(s) and is_monotonic(s))
+    return s._bnm
 
 
 _FORCED_NEG: UnaryTable = (T, I, F)
@@ -203,9 +209,15 @@ def scheme_id(s: Scheme) -> int:
     return code
 
 
+_BNM_SCHEMES = tuple(scheme_from_id(code) for code in range(16))
+
+
 def enumerate_bnm_schemes() -> list[Scheme]:
-    """All sixteen Boolean-normal monotonic schemes, ordered by their code."""
-    return [scheme_from_id(code) for code in range(16)]
+    """All sixteen Boolean-normal monotonic schemes, ordered by their code.
+
+    The list is new on every call; the schemes in it are shared.
+    """
+    return list(_BNM_SCHEMES)
 
 
 _PRESET_CODES = {"strong": 0b1111, "weak": 0b0000, "middle": 0b1010}

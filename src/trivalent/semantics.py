@@ -332,8 +332,9 @@ def find_countervaluation(
     violations = _violation_int(logic, inf, names)
     if violations == 0:
         return None
-    data = violations.to_bytes(valuation_count(names), "big")
-    index = next(i for i, byte in enumerate(data) if byte)
+    # Valuation 0 is the most significant byte, so the first violation is
+    # the byte holding the highest set bit.
+    index = valuation_count(names) - 1 - (violations.bit_length() - 1) // 8
     return valuation_at(names, index)
 
 

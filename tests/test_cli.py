@@ -149,6 +149,22 @@ def test_check_all_schemes(capsys):
     assert len(payload["results"]) == 16
 
 
+def test_repeated_calls_in_one_process(capsys):
+    check = ("check", "--scheme", "all", "--standard", "ss,tt,st,ts", "p & q => ~r | p")
+    first = run(capsys, *check)
+    named = run(capsys, "schemes", "--named")
+    assert named[0] == 0 and "<- strong" in named[1]
+    assert run(capsys, *check) == first
+    assert run(capsys, "schemes", "--named") == named
+
+
+def test_check_deep_nesting_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "check", "~" * 2000 + "p => p")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_closure_reads_stdin(capsys, monkeypatch):
     import io
 

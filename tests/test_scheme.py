@@ -112,6 +112,14 @@ def test_enumeration_is_exactly_sixteen():
     assert [scheme_id(s) for s in schemes] == list(range(16))
 
 
+def test_enumeration_returns_a_fresh_list():
+    first = enumerate_bnm_schemes()
+    first.clear()
+    second = enumerate_bnm_schemes()
+    second[0] = preset("strong")
+    assert [scheme_id(s) for s in enumerate_bnm_schemes()] == list(range(16))
+
+
 def test_forced_cells():
     for s in enumerate_bnm_schemes():
         assert s.neg(I) is I
@@ -189,3 +197,45 @@ def _oracle_monotone(s: Scheme) -> bool:
 def test_monotonicity_agrees_with_oracle(neg, conj, disj):
     s = Scheme(neg, conj, disj)
     assert is_monotonic(s) == _oracle_monotone(s)
+
+
+raw_tables = st.tuples(
+    st.tuples(*[st.sampled_from(VALUES)] * 3),
+    st.tuples(*[st.sampled_from(VALUES)] * 9),
+    st.tuples(*[st.sampled_from(VALUES)] * 9),
+)
+
+
+def _boolean_normal(middle):
+    """Tables that are classical on {0, 1}, with the given middle-valued cells
+    (one for negation, five each for conjunction and disjunction)."""
+    neg_i, conj_cells, disj_cells = middle
+    classical = {(F, F), (F, T), (T, F), (T, T)}
+    pairs = [(a, b) for a in VALUES for b in VALUES]
+
+    def table(op, cells):
+        cells = iter(cells)
+        return tuple(op(a, b) if (a, b) in classical else next(cells) for a, b in pairs)
+
+    conj = table(lambda a, b: min(a, b), conj_cells)
+    disj = table(lambda a, b: max(a, b), disj_cells)
+    return (T, neg_i, F), conj, disj
+
+
+bnm_tables = st.sampled_from(
+    [(s.neg_table, s.conj_table, s.disj_table) for s in enumerate_bnm_schemes()]
+)
+boolean_normal_tables = st.tuples(
+    st.sampled_from(VALUES),
+    st.tuples(*[st.sampled_from(VALUES)] * 5),
+    st.tuples(*[st.sampled_from(VALUES)] * 5),
+).map(_boolean_normal)
+
+
+@settings(max_examples=300)
+@given(st.one_of(raw_tables, boolean_normal_tables, bnm_tables))
+def test_is_bnm_memo_agrees_with_both_predicates(tables):
+    s = Scheme(*tables)
+    expected = is_boolean_normal(s) and is_monotonic(s)
+    assert is_bnm(s) == expected
+    assert is_bnm(s) == expected

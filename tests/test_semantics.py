@@ -121,6 +121,14 @@ def test_countervaluations_are_canonical(strong):
     assert find_countervaluation(LogicSpec(strong, SS), parse_inference("p => p")) is None
 
 
+def test_countervaluation_at_first_and_last_index(strong):
+    logic = LogicSpec(strong, SS)
+    first = find_countervaluation(logic, parse_inference("=> p"))
+    assert first == Valuation.of({"p": F})
+    last = find_countervaluation(logic, parse_inference("p, q => ~(p & q)"))
+    assert last == Valuation.of({"p": T, "q": T})
+
+
 def test_theoremhood(strong):
     lem = parse("p | ~p")
     for scheme in enumerate_bnm_schemes():
@@ -216,8 +224,9 @@ def test_logic_spec_requires_bnm(strong):
     from trivalent.scheme import Scheme
 
     broken = Scheme((T, I, T), strong.conj_table, strong.disj_table)
-    with pytest.raises(ValueError):
-        LogicSpec(broken, SS)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            LogicSpec(broken, SS)
     assert LogicSpec(broken, SS, allow_non_bnm=True).scheme is broken
 
 
