@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import ResourceLimitError
@@ -46,7 +46,6 @@ from .formula import (
     Var,
     atoms,
     enumerate_formulas,
-    inference_key,
     iter_subsets,
     substitute,
     substitute_inference,
@@ -59,7 +58,7 @@ DEFAULT_UNIVERSE_CAP = 500_000
 DEFAULT_SUBSTITUTION_CAP = 300_000
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Universe:
     """A finite formula pool with a premise-size cap and reserve atoms.
 
@@ -68,11 +67,17 @@ class Universe:
     Reserve atoms mark formulas acting as fresh variables; checks that
     need a fresh atom restrict their comparisons to inferences avoiding
     them (see :mod:`.characterize`).
+
+    A universe holds its own derived data: the formula set and atom names
+    from construction, the premise sets, inferences and preserving
+    substitutions from first use.  It all goes when the universe goes.
     """
 
     formulas: tuple[Formula, ...]
     premise_cap: int
     reserve_atoms: frozenset[str]
+    formula_set: frozenset[Formula] = field(init=False, repr=False, compare=False)
+    atom_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __init__(
@@ -99,6 +104,8 @@ class Universe:
         object.__setattr__(self, "formulas", pool)
         object.__setattr__(self, "premise_cap", premise_cap)
         object.__setattr__(self, "reserve_atoms", reserve)
+        object.__setattr__(self, "formula_set", frozenset(seen))
+        object.__setattr__(self, "atom_names", tuple(sorted(occurring)))
         object.__setattr__(self, "_hash", hash((pool, premise_cap, reserve)))
 
     def __hash__(self) -> int:
@@ -129,16 +136,6 @@ class Universe:
         pool.extend(Var(name) for name in reserve_list)
         return cls(pool, premise_cap, reserve_list)
 
-    @property
-    def formula_set(self) -> frozenset[Formula]:
-        return _formula_set(self)
-
-    def atom_names(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for f in self.formulas:
-            names |= atoms(f)
-        return tuple(sorted(names))
-
     def contains(self, inf: Inference) -> bool:
         pool = self.formula_set
         return (
@@ -163,47 +160,49 @@ class Universe:
             f"reserve {sorted(self.reserve_atoms) or '-'}"
         )
 
+    # The lazy attributes below skip the size caps; reach them only through
+    # the module functions, which check the cap on every call.
 
-@lru_cache(maxsize=None)
-def _formula_set(u: Universe) -> frozenset[Formula]:
-    return frozenset(u.formulas)
+    @cached_property
+    def _premise_sets(self) -> tuple[frozenset[Formula], ...]:
+        return tuple(
+            frozenset(subset) for subset in iter_subsets(list(self.formulas), self.premise_cap)
+        )
+
+    @cached_property
+    def _inferences(self) -> tuple[Inference, ...]:
+        return tuple(
+            Inference(premises, conclusion)
+            for premises in self._premise_sets
+            for conclusion in self.formulas
+        )
+
+    @cached_property
+    def _substitutions(self) -> tuple[dict, ...]:
+        found: list[dict] = []
+        for images in itertools.product(self.formulas, repeat=len(self.atom_names)):
+            sigma = dict(zip(self.atom_names, images))
+            if all(substitute(f, sigma) in self.formula_set for f in self.formulas):
+                found.append(sigma)
+        return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _premise_sets(u: Universe) -> tuple[frozenset[Formula], ...]:
-    return tuple(
-        frozenset(subset) for subset in iter_subsets(list(u.formulas), u.premise_cap)
-    )
-
-
-@lru_cache(maxsize=None)
-def _all_inferences(u: Universe) -> tuple[Inference, ...]:
-    return tuple(
-        Inference(premises, conclusion)
-        for premises in _premise_sets(u)
-        for conclusion in u.formulas
-    )
-
-
-def universe_inferences(u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP) -> InferenceSet:
-    """Every inference expressible in the universe."""
+def _require_within_cap(u: Universe, max_count: int) -> None:
     count = u.inference_count()
     if count > max_count:
         raise ResourceLimitError(
             f"universe holds {count} inferences, above the cap of {max_count}"
         )
-    return frozenset(_all_inferences(u))
 
 
-def ordered_inferences(u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP) -> list[Inference]:
-    """Universe inferences in canonical order: premise sets smallest first
-    (combination order over the formula pool), then conclusions in pool order."""
-    count = u.inference_count()
-    if count > max_count:
-        raise ResourceLimitError(
-            f"universe holds {count} inferences, above the cap of {max_count}"
-        )
-    return list(_all_inferences(u))
+def universe_inferences(
+    u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP
+) -> tuple[Inference, ...]:
+    """Every inference expressible in the universe, in canonical order:
+    premise sets smallest first (combination order over the formula pool),
+    then conclusions in pool order."""
+    _require_within_cap(u, max_count)
+    return u._inferences
 
 
 def _require_in_universe(base: Iterable[Inference], u: Universe) -> set[Inference]:
@@ -269,7 +268,7 @@ def dual_transitive_closure(
     universe.
     """
     members = _require_in_universe(base, u)
-    everything = universe_inferences(u, max_count)
+    everything = frozenset(universe_inferences(u, max_count))
     complement_closed = transitive_closure(everything - members, u)
     return frozenset(members - complement_closed)
 
@@ -281,20 +280,21 @@ def dual_transitive_closure_direct(
 
     Repeatedly removes any member Gamma => phi for which some nonempty
     premise-capped Delta has Delta => phi outside the set and Gamma =>
-    delta outside the set for every delta in Delta.  Kept independent of
+    delta outside the set for every delta in Delta.  That condition only
+    gets easier to meet as the set shrinks, so the greatest fixpoint is
+    unique and the order of visits does not matter.  Kept independent of
     :func:`dual_transitive_closure` so the two can be played against each
     other in the operator-law checks.
     """
+    _require_within_cap(u, DEFAULT_UNIVERSE_CAP)
     empty: frozenset[Formula] = frozenset()
     members = _require_in_universe(base, u)
-    deltas = [d for d in _premise_sets(u) if d]
+    deltas = [d for d in u._premise_sets if d]
     concl = _concl_index(members)
     changed = True
     while changed:
         changed = False
-        for inf in sorted(members, key=inference_key):
-            if inf not in members:
-                continue
+        for inf in list(members):
             gamma_derives = concl[inf.premises]
             for delta in deltas:
                 if delta & gamma_derives:
@@ -309,27 +309,19 @@ def dual_transitive_closure_direct(
     return frozenset(members)
 
 
-@lru_cache(maxsize=None)
 def universe_preserving_substitutions(
     u: Universe, max_candidates: int = DEFAULT_SUBSTITUTION_CAP
 ) -> tuple[dict, ...]:
     """All substitutions on the universe's atoms mapping every pool formula
     back into the pool.  Unrestricted substitution escapes any finite pool,
     so the Tarskian closure below applies exactly these."""
-    names = u.atom_names()
-    candidate_count = len(u.formulas) ** len(names)
+    candidate_count = len(u.formulas) ** len(u.atom_names)
     if candidate_count > max_candidates:
         raise ResourceLimitError(
             f"substitution search space has {candidate_count} candidates, "
             f"above the cap of {max_candidates}"
         )
-    pool = u.formula_set
-    found: list[dict] = []
-    for images in itertools.product(u.formulas, repeat=len(names)):
-        sigma = dict(zip(names, images))
-        if all(substitute(f, sigma) in pool for f in u.formulas):
-            found.append(sigma)
-    return tuple(found)
+    return u._substitutions
 
 
 def tarskian_closure(
@@ -338,10 +330,7 @@ def tarskian_closure(
     """Least superset of ``base`` within the universe closed under
     reflexivity, premise monotonicity (up to the cap), cut, and
     universe-preserving substitution."""
-    if u.inference_count() > max_count:
-        raise ResourceLimitError(
-            f"universe holds {u.inference_count()} inferences, above the cap of {max_count}"
-        )
+    _require_within_cap(u, max_count)
     members = _require_in_universe(base, u)
     for f in u.formulas:
         members.add(Inference((f,), f))
@@ -389,7 +378,7 @@ def check_operator_laws(
     normalized = [(frozenset(xs), u) for xs, u in samples]
     for position, (xs, u) in enumerate(normalized):
         label = f"sample {position}"
-        everything = universe_inferences(u)
+        everything = frozenset(universe_inferences(u))
         t_xs = transitive_closure(xs, u)
         report.record("t-extensive", xs <= t_xs, label)
         report.record("t-idempotent", transitive_closure(t_xs, u) == t_xs, label)

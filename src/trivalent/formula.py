@@ -146,10 +146,6 @@ def formula_key(f: Formula) -> str:
     return str(f)
 
 
-def inference_key(inf: Inference) -> tuple[int, str]:
-    return (len(inf.premises), str(inf))
-
-
 # A substitution is a finite map from variable names to formulas, read as
 # the identity off its domain.
 Substitution = Mapping[str, Formula]

@@ -32,19 +32,3 @@ class Report:
         if not ok:
             self.failures.append(Finding(check, detail))
         return ok
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "checks": self.checks,
-        }
-        if self.failures:
-            out["failures"] = [{"check": f.check, "detail": f.detail} for f in self.failures]
-        if self.notes:
-            out["notes"] = self.notes
-        return out
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.failures)} failures)"
-        return f"{self.name}: {status} [{self.checks} checks]"

@@ -44,21 +44,11 @@ class Valuation:
         pairs = dict(mapping)
         return cls(tuple(sorted(pairs.items())))
 
-    @property
-    def declared_atoms(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.items)
-
     def value(self, name: str) -> TruthValue:
         for key, val in self.items:
             if key == name:
                 return val
         raise MissingAtomError(name)
-
-    def __getitem__(self, name: str) -> TruthValue:
-        return self.value(name)
-
-    def as_dict(self) -> dict[str, TruthValue]:
-        return dict(self.items)
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{k}={v.symbol}" for k, v in self.items) + "}"

@@ -40,9 +40,9 @@ from .closure import (
     Universe,
     check_operator_laws,
     dual_transitive_closure,
-    ordered_inferences,
     tarskian_closure,
     transitive_closure,
+    universe_inferences,
 )
 from .characterize import (
     LatticeFamily,
@@ -498,7 +498,7 @@ def claim_operator_laws(ctx: VerificationContext) -> Report:
     rng = ctx.rng_for("operator-laws")
     samples = []
     for u in ctx.law_universes:
-        population = ordered_inferences(u)
+        population = universe_inferences(u)
         for _ in range(ctx.config.law_samples):
             size = rng.randint(0, min(40, len(population)))
             samples.append((rng.sample(population, size), u))

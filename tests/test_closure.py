@@ -12,7 +12,6 @@ from trivalent.closure import (
     check_operator_laws,
     dual_transitive_closure,
     dual_transitive_closure_direct,
-    ordered_inferences,
     tarskian_closure,
     transitive_closure,
     universe_inferences,
@@ -72,7 +71,7 @@ def test_universe_count_oracle():
 
 def test_ordered_inferences_are_canonical():
     u = Universe([P, Q], 1)
-    assert [str(inf) for inf in ordered_inferences(u)] == [
+    assert [str(inf) for inf in universe_inferences(u)] == [
         "=> p", "=> q", "p => p", "p => q", "q => p", "q => q",
     ]
 
@@ -100,6 +99,39 @@ def test_universe_materialization_cap():
     u = Universe.build(["p", "q"], 2, 2)
     with pytest.raises(ResourceLimitError):
         universe_inferences(u, max_count=1000)
+
+
+def test_direct_dual_closure_checks_the_cap():
+    u = Universe.build(["p"], 2, 4, ["q"])
+    assert u.inference_count() == 3_153_734
+    with pytest.raises(ResourceLimitError):
+        dual_transitive_closure_direct(set(), u)
+    with pytest.raises(ResourceLimitError):
+        dual_transitive_closure(set(), u)
+
+
+def test_equal_universes_agree(rng):
+    first = Universe.build(["p"], 1, 2, ["q"])
+    rebuilt = Universe.build(["p"], 1, 2, ["q"])
+    assert first is not rebuilt
+    assert first == rebuilt and hash(first) == hash(rebuilt)
+    assert universe_inferences(first) == universe_inferences(rebuilt)
+    base = rng.sample(universe_inferences(first), 30)
+    assert transitive_closure(base, first) == transitive_closure(base, rebuilt)
+    assert dual_transitive_closure(base, first) == dual_transitive_closure(base, rebuilt)
+
+
+def test_universe_inferences_computed_once_per_instance():
+    u = Universe([P, Q, R], 2)
+    assert universe_inferences(u) is universe_inferences(u)
+    assert universe_inferences(u) is not universe_inferences(Universe([P, Q, R], 2))
+
+
+def test_substitution_cap_checked_on_every_call():
+    u = Universe.build(["p", "q"], 1, 2)
+    assert universe_preserving_substitutions(u)
+    with pytest.raises(ResourceLimitError):
+        universe_preserving_substitutions(u, max_candidates=1)
 
 
 def test_unary_cut():
@@ -131,7 +163,7 @@ def test_base_must_live_in_universe():
 
 def test_dual_closure_examples():
     u = Universe([P, Q], 1)
-    everything = universe_inferences(u)
+    everything = frozenset(universe_inferences(u))
     assert dual_transitive_closure(everything, u) == everything
     assert dual_transitive_closure({parse_inference("p => p")}, u) == frozenset()
     assert dual_transitive_closure(frozenset(), u) == frozenset()
@@ -139,7 +171,7 @@ def test_dual_closure_examples():
 
 def test_order_independence(rng):
     u = small_universe()
-    population = ordered_inferences(u)
+    population = universe_inferences(u)
     base = rng.sample(population, 12)
     reference = transitive_closure(base, u)
     for _ in range(5):
@@ -151,7 +183,7 @@ def test_order_independence(rng):
 @given(st.data())
 def test_closure_matches_naive_oracle(data):
     u = Universe([P, Q, R], 2)
-    population = ordered_inferences(u)
+    population = universe_inferences(u)
     base = data.draw(st.lists(st.sampled_from(population), max_size=10))
     assert transitive_closure(base, u) == naive_transitive_closure(base, u)
 
@@ -160,11 +192,11 @@ def test_closure_matches_naive_oracle(data):
 @given(st.data())
 def test_dual_closure_routes_agree(data):
     u = Universe([P, Q], 2)
-    population = ordered_inferences(u)
+    population = universe_inferences(u)
     base = frozenset(data.draw(st.lists(st.sampled_from(population), max_size=12)))
     via_complement = dual_transitive_closure(base, u)
     direct = dual_transitive_closure_direct(base, u)
-    everything = universe_inferences(u)
+    everything = frozenset(universe_inferences(u))
     naive = everything - naive_transitive_closure(everything - base, u)
     assert via_complement == direct == naive
 
@@ -200,7 +232,7 @@ def naive_tarskian_closure(base, u):
 
 def test_tarskian_closure_matches_naive_oracle(rng):
     u = Universe([P, Q], 2)
-    population = ordered_inferences(u)
+    population = universe_inferences(u)
     for _ in range(4):
         base = rng.sample(population, rng.randint(0, 4))
         assert tarskian_closure(base, u) == naive_tarskian_closure(base, u)
@@ -233,7 +265,7 @@ def test_universe_preserving_substitutions():
 
 def test_operator_laws_on_random_samples(rng):
     u = Universe([P, Q, R], 2)
-    population = ordered_inferences(u)
+    population = universe_inferences(u)
     samples = [
         (rng.sample(population, rng.randint(0, 16)), u) for _ in range(12)
     ]
