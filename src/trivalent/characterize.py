@@ -27,6 +27,7 @@ from .closure import (
     dual_transitive_closure,
     transitive_closure,
     universe_inferences,
+    universe_premise_indices,
 )
 from .formula import And, Formula, Inference, Neg, Or, Var, atoms, formula_key
 from .report import Report
@@ -40,14 +41,15 @@ from .semantics import (
     TS,
     TT,
     Valuation,
-    antitheorem_in_all,
     as_logic_tuple,
-    is_classical_tautology,
-    is_classically_unsatisfiable,
+    classical_masks,
+    formula_masks,
+    full_mask,
+    is_antitheorem,
     is_classically_valid,
+    is_theorem,
     is_valid,
     satisfies_inference,
-    theorem_in_all,
     valid_in_all,
 )
 
@@ -130,49 +132,96 @@ def replay_witness(inf: Inference, witness: DerivationWitness) -> bool:
     return inf in transitive_closure(base, u)
 
 
+# --- universe-wide evaluation ------------------------------------------------
+#
+# Every pool formula is evaluated once per logic over the universe's atom
+# tuple (``formula_masks``).  Premise set ``k`` of the universe is a tuple of
+# pool indices, and its inference with conclusion ``j`` sits at position
+# ``k * n + j`` of the canonical inference tuple, so the sets below hand
+# back the universe's own inference objects.
+
+
+def _and_masks(masks: list[int], members: tuple[int, ...]) -> int:
+    """The AND of the members' masks; -1 (every bit) for no members, so
+    the empty premise set is never an antitheorem."""
+    out = -1
+    for i in members:
+        out &= masks[i]
+    return out
+
+
+def _kernels(logics: Logics, u: Universe, atom_cap: int) -> list[tuple[list[int], list[int]]]:
+    """Per logic, each pool formula's premise accept mask and conclusion
+    reject mask.  Raises on the atom cap before anything is built."""
+    return [
+        formula_masks(logic, u.formulas, u.atom_names, atom_cap)
+        for logic in as_logic_tuple(logics)
+    ]
+
+
 def valid_subset(logics: Logics, u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Inference]:
-    """The universe inferences valid in every given logic."""
-    return frozenset(
-        inf for inf in universe_inferences(u) if valid_in_all(logics, inf, atom_cap)
-    )
+    """The universe inferences valid in every given logic: ``Gamma => phi``
+    is valid iff ``Gamma``'s premise mask meets no bit of ``phi``'s reject
+    mask."""
+    kernels = _kernels(logics, u, atom_cap)
+    inferences = universe_inferences(u)
+    n = len(u.formulas)
+    found: list[Inference] = []
+    for k, members in enumerate(universe_premise_indices(u)):
+        row: Iterable[int] = range(n)
+        for accepts, rejects in kernels:
+            premise_mask = _and_masks(accepts, members)
+            if premise_mask:
+                row = [j for j in row if not premise_mask & rejects[j]]
+        base = k * n
+        found.extend(inferences[base + j] for j in row)
+    return frozenset(found)
+
+
+def _star_inferences(u: Universe, theorems: list[int], antitheorem) -> frozenset[Inference]:
+    """The universe inferences whose conclusion index is in ``theorems`` or
+    whose premise set satisfies ``antitheorem``."""
+    inferences = universe_inferences(u)
+    n = len(u.formulas)
+    found: list[Inference] = []
+    for k, members in enumerate(universe_premise_indices(u)):
+        base = k * n
+        if antitheorem(members):
+            found.extend(inferences[base:base + n])
+        else:
+            found.extend(inferences[base + j] for j in theorems)
+    return frozenset(found)
 
 
 def star_set(logics: Logics, u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Inference]:
     """All universe inferences with an antitheorem premise set or a theorem
-    conclusion, decided semantically (intersections take both components)."""
-    logic_tuple = as_logic_tuple(logics)
-    theorem_cache = {
-        f: theorem_in_all(logic_tuple, f, atom_cap) for f in u.formulas
-    }
-    antith_cache: dict[frozenset[Formula], bool] = {}
-    found = []
-    for inf in universe_inferences(u):
-        if theorem_cache[inf.conclusion]:
-            found.append(inf)
-            continue
-        premises = inf.premises
-        if premises not in antith_cache:
-            antith_cache[premises] = antitheorem_in_all(logic_tuple, premises, atom_cap)
-        if antith_cache[premises]:
-            found.append(inf)
-    return frozenset(found)
+    conclusion, decided semantically (intersections take both components).
+    A theorem has an empty reject mask; an antitheorem set, an empty
+    premise mask."""
+    kernels = _kernels(logics, u, atom_cap)
+    theorems = [
+        j for j in range(len(u.formulas))
+        if not any(rejects[j] for _, rejects in kernels)
+    ]
+    return _star_inferences(
+        u,
+        theorems,
+        lambda members: not any(
+            _and_masks(accepts, members) for accepts, _ in kernels
+        ),
+    )
 
 
 def classical_star_set(u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Inference]:
     """The classical counterpart: unsatisfiable premises or tautological
     conclusion, decided by the two-valued evaluator."""
-    taut_cache = {f: is_classical_tautology(f, atom_cap) for f in u.formulas}
-    unsat_cache: dict[frozenset[Formula], bool] = {}
-    found = []
-    for inf in universe_inferences(u):
-        if taut_cache[inf.conclusion]:
-            found.append(inf)
-            continue
-        if inf.premises not in unsat_cache:
-            unsat_cache[inf.premises] = is_classically_unsatisfiable(inf.premises, atom_cap)
-        if unsat_cache[inf.premises]:
-            found.append(inf)
-    return frozenset(found)
+    names = u.atom_names
+    truths = classical_masks(u.formulas, names, atom_cap)
+    full = full_mask(2 ** len(names))
+    tautologies = [j for j, mask in enumerate(truths) if mask == full]
+    return _star_inferences(
+        u, tautologies, lambda members: not _and_masks(truths, members)
+    )
 
 
 def _require_reserve(u: Universe) -> None:
@@ -459,22 +508,22 @@ def _star_lattice_checks(
 
     p, q = Var("p"), Var("q")
     example = Inference((And(p, Neg(p)),), Or(q, Neg(q)))
-    in_ss = antitheorem_in_all((family.ss,), example.premises, atom_cap)
-    in_tt = theorem_in_all((family.tt,), example.conclusion, atom_cap)
+    in_ss = is_antitheorem(family.ss, example.premises, atom_cap)
+    in_tt = is_theorem(family.tt, example.conclusion, atom_cap)
     report.record("contradiction-to-tautology-in-star-meet", in_ss and in_tt, str(example))
-    ts_theorem = theorem_in_all((ts_logic,), example.conclusion, atom_cap)
-    ts_antith = antitheorem_in_all((ts_logic,), example.premises, atom_cap)
+    ts_theorem = is_theorem(ts_logic, example.conclusion, atom_cap)
+    ts_antith = is_antitheorem(ts_logic, example.premises, atom_cap)
     report.record("contradiction-to-tautology-not-in-ts-star", not (ts_theorem or ts_antith), str(example))
 
     explosionish = Inference((And(p, Neg(p)),), q)
     lem_ish = Inference((p,), Or(q, Neg(q)))
     report.record(
         "star-incomparability",
-        antitheorem_in_all((family.ss,), explosionish.premises, atom_cap)
-        and not theorem_in_all((family.tt,), explosionish.conclusion, atom_cap)
-        and not antitheorem_in_all((family.tt,), explosionish.premises, atom_cap)
-        and theorem_in_all((family.tt,), lem_ish.conclusion, atom_cap)
-        and not antitheorem_in_all((family.ss,), lem_ish.premises, atom_cap)
-        and not theorem_in_all((family.ss,), lem_ish.conclusion, atom_cap),
+        is_antitheorem(family.ss, explosionish.premises, atom_cap)
+        and not is_theorem(family.tt, explosionish.conclusion, atom_cap)
+        and not is_antitheorem(family.tt, explosionish.premises, atom_cap)
+        and is_theorem(family.tt, lem_ish.conclusion, atom_cap)
+        and not is_antitheorem(family.ss, lem_ish.premises, atom_cap)
+        and not is_theorem(family.ss, lem_ish.conclusion, atom_cap),
         "explosion-style vs excluded-middle-style witnesses",
     )

@@ -28,7 +28,8 @@ delta in a nonempty Delta).  The transitive closure of a base therefore
 lives entirely on the base's own premise sets and conclusions, so the
 saturation below never materializes the universe; the universe is needed
 only to validate membership, and for the complement step of the dual
-operator.
+operator, which enumerates the universe's premise sets but builds no
+inference of the complement.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ResourceLimitError
 from .formula import (
@@ -78,6 +79,7 @@ class Universe:
     reserve_atoms: frozenset[str]
     formula_set: frozenset[Formula] = field(init=False, repr=False, compare=False)
     atom_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _reserve_formulas: frozenset[Formula] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __init__(
@@ -95,9 +97,13 @@ class Universe:
         if premise_cap < 1:
             raise ValueError("premise_cap must be >= 1")
         reserve = frozenset(reserve_atoms)
-        occurring = set()
+        occurring: set[str] = set()
+        tainted = set()
         for f in pool:
-            occurring |= atoms(f)
+            names = atoms(f)
+            occurring |= names
+            if names & reserve:
+                tainted.add(f)
         stray = reserve - occurring
         if stray:
             raise ValueError(f"reserve atoms not occurring in any formula: {sorted(stray)}")
@@ -106,6 +112,7 @@ class Universe:
         object.__setattr__(self, "reserve_atoms", reserve)
         object.__setattr__(self, "formula_set", frozenset(seen))
         object.__setattr__(self, "atom_names", tuple(sorted(occurring)))
+        object.__setattr__(self, "_reserve_formulas", frozenset(tainted))
         object.__setattr__(self, "_hash", hash((pool, premise_cap, reserve)))
 
     def __hash__(self) -> int:
@@ -145,6 +152,10 @@ class Universe:
         )
 
     def is_reserve_free(self, inf: Inference) -> bool:
+        pool = self.formula_set
+        if inf.conclusion in pool and inf.premises <= pool:
+            tainted = self._reserve_formulas
+            return inf.conclusion not in tainted and tainted.isdisjoint(inf.premises)
         return not (atoms(inf) & self.reserve_atoms)
 
     def premise_set_count(self) -> int:
@@ -164,9 +175,14 @@ class Universe:
     # the module functions, which check the cap on every call.
 
     @cached_property
+    def _premise_indices(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(iter_subsets(list(range(len(self.formulas))), self.premise_cap))
+
+    @cached_property
     def _premise_sets(self) -> tuple[frozenset[Formula], ...]:
+        pool = self.formulas
         return tuple(
-            frozenset(subset) for subset in iter_subsets(list(self.formulas), self.premise_cap)
+            frozenset(pool[i] for i in members) for members in self._premise_indices
         )
 
     @cached_property
@@ -205,6 +221,16 @@ def universe_inferences(
     return u._inferences
 
 
+def universe_premise_indices(
+    u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP
+) -> tuple[tuple[int, ...], ...]:
+    """The premise sets of :func:`universe_inferences`, in the same order,
+    as tuples of pool indices: the inference at position ``k * n + j``
+    (``n`` pool formulas) has premise set ``k`` and conclusion ``j``."""
+    _require_within_cap(u, max_count)
+    return u._premise_indices
+
+
 def _require_in_universe(base: Iterable[Inference], u: Universe) -> set[Inference]:
     out = set(base)
     for inf in out:
@@ -216,14 +242,18 @@ def _require_in_universe(base: Iterable[Inference], u: Universe) -> set[Inferenc
 def _saturate_cut(concl: dict[frozenset[Formula], set[Formula]]) -> None:
     """In-place cut saturation: concl maps each premise set to the set of
     conclusions derivable from it.  Fixpoint is the least one; the loop is
-    order-insensitive because the rule is monotone."""
+    order-insensitive because the rule is monotone.  A row holding every
+    conclusion that occurs in the index cannot grow, so it is skipped."""
     keys = list(concl)
     deltas = [k for k in keys if k]
+    occurring = len(set().union(*concl.values()))
     changed = True
     while changed:
         changed = False
         for gamma in keys:
             derivable = concl[gamma]
+            if len(derivable) == occurring:
+                continue
             for delta in deltas:
                 if delta <= derivable:
                     extra = concl[delta]
@@ -239,12 +269,6 @@ def _concl_index(members: Iterable[Inference]) -> dict[frozenset[Formula], set[F
     return concl
 
 
-def _from_concl_index(concl: Mapping[frozenset[Formula], set[Formula]]) -> InferenceSet:
-    return frozenset(
-        Inference(premises, c) for premises, cs in concl.items() for c in cs
-    )
-
-
 def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     """Least superset of ``base`` closed under the cut rule.
 
@@ -254,8 +278,14 @@ def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     """
     members = _require_in_universe(base, u)
     concl = _concl_index(members)
+    before = {premises: frozenset(cs) for premises, cs in concl.items()}
     _saturate_cut(concl)
-    return _from_concl_index(concl)
+    members.update(
+        Inference(premises, c)
+        for premises, cs in concl.items()
+        for c in cs - before[premises]
+    )
+    return frozenset(members)
 
 
 def dual_transitive_closure(
@@ -265,12 +295,24 @@ def dual_transitive_closure(
 
     Computed through the complement identity: take the complement of the
     transitive closure of the complement of ``base``, both relative to the
-    universe.
+    universe.  The complement is kept as a map from premise set to
+    conclusions and saturated in place; no inference of it is built.
     """
     members = _require_in_universe(base, u)
-    everything = frozenset(universe_inferences(u, max_count))
-    complement_closed = transitive_closure(everything - members, u)
-    return frozenset(members - complement_closed)
+    _require_within_cap(u, max_count)
+    concl = _concl_index(members)
+    empty: frozenset[Formula] = frozenset()
+    complement = {}
+    for premises in u._premise_sets:
+        row = set(u.formula_set)
+        row -= concl.get(premises, empty)
+        if row:
+            complement[premises] = row
+    _saturate_cut(complement)
+    return frozenset(
+        inf for inf in members
+        if inf.conclusion not in complement.get(inf.premises, empty)
+    )
 
 
 def dual_transitive_closure_direct(

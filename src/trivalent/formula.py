@@ -199,14 +199,6 @@ def substitute_inference(inf: Inference, sigma: Substitution) -> Inference:
     )
 
 
-def compose_substitutions(outer: Substitution, inner: Substitution) -> dict[str, Formula]:
-    """The substitution mapping f to substitute(substitute(f, inner), outer)."""
-    composed = {name: substitute(image, outer) for name, image in inner.items()}
-    for name, image in outer.items():
-        composed.setdefault(name, image)
-    return composed
-
-
 # --- parsing -----------------------------------------------------------
 
 _TOKEN_RE = re.compile(

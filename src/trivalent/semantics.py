@@ -364,15 +364,47 @@ def valid_in_all(logics: Logics, inf: Inference, atom_cap: int = DEFAULT_ATOM_CA
     return all(is_valid(logic, inf, atom_cap) for logic in as_logic_tuple(logics))
 
 
-def theorem_in_all(logics: Logics, f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    return all(is_theorem(logic, f, atom_cap) for logic in as_logic_tuple(logics))
+# --- masks over a shared atom tuple ---------------------------------------
+#
+# Many inferences over one formula pool are decided at once by evaluating
+# every pool formula once over the union of the pool's atoms.  A mask is an
+# int with one byte per valuation, as in ``_violation_int``: the byte is 1
+# where the formula meets the standard.  By truth-functionality a verdict
+# read over a superset of an inference's atoms equals the verdict over its
+# own atoms, so ``Gamma => phi`` is valid iff the AND of the premises'
+# accept masks meets no bit of the conclusion's reject mask.
+
+def full_mask(size: int) -> int:
+    """The mask holding every one of ``size`` valuations."""
+    return (1 << (8 * size)) // 255
 
 
-def antitheorem_in_all(
-    logics: Logics, gamma: Iterable[Formula], atom_cap: int = DEFAULT_ATOM_CAP
-) -> bool:
-    members = list(gamma)
-    return all(is_antitheorem(logic, members, atom_cap) for logic in as_logic_tuple(logics))
+def formula_masks(
+    logic: LogicSpec,
+    formulas: Sequence[Formula],
+    names: tuple[str, ...],
+    atom_cap: int = DEFAULT_ATOM_CAP,
+) -> tuple[list[int], list[int]]:
+    """Per formula, the valuations over ``names`` where it meets the premise
+    standard, and those where it fails the conclusion standard."""
+    _check_atom_cap(names, atom_cap)
+    full = full_mask(valuation_count(names))
+    accept_premise = _accept_table(logic.standard.premise)
+    accept_conclusion = _accept_table(logic.standard.conclusion)
+    accepts, rejects = [], []
+    for f in formulas:
+        vec = truth_vector(logic.scheme, f, names)
+        accepts.append(int.from_bytes(vec.translate(accept_premise), "big"))
+        rejects.append(full ^ int.from_bytes(vec.translate(accept_conclusion), "big"))
+    return accepts, rejects
+
+
+def classical_masks(
+    formulas: Sequence[Formula], names: tuple[str, ...], atom_cap: int = DEFAULT_ATOM_CAP
+) -> list[int]:
+    """Per formula, the two-valued valuations over ``names`` making it true."""
+    _check_atom_cap(names, atom_cap)
+    return [int.from_bytes(bool_vector(f, names), "big") for f in formulas]
 
 
 # --- classical (two-valued) validity --------------------------------------

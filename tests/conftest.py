@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from trivalent.closure import Universe
 from trivalent.formula import And, Inference, Neg, Or, Var
 from trivalent.scheme import enumerate_bnm_schemes, preset
 
@@ -30,6 +31,18 @@ def inferences(max_premises: int = 3):
 
 
 bnm_schemes = st.sampled_from(enumerate_bnm_schemes())
+
+RESERVE_ATOM = "s"
+
+
+@st.composite
+def small_universes(draw, max_pool: int = 4):
+    """A pool of 1-4 random formulas, premise cap 1-2, and possibly the bare
+    reserve atom ``s`` (absent from ``formulas()``)."""
+    pool = draw(st.lists(formulas(max_leaves=4), min_size=1, max_size=max_pool, unique=True))
+    reserve = [RESERVE_ATOM] if draw(st.booleans()) else []
+    pool += [Var(name) for name in reserve]
+    return Universe(pool, draw(st.integers(1, 2)), reserve)
 
 
 @pytest.fixture(scope="session")

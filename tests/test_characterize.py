@@ -1,10 +1,23 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import bnm_schemes, inferences
+from conftest import bnm_schemes, inferences, small_universes
+from trivalent.errors import ResourceLimitError
 from trivalent.formula import Inference, Var, parse, parse_inference
-from trivalent.semantics import LogicSpec, SS, ST, TS, TT, is_classically_valid
-from trivalent.closure import Universe, dual_transitive_closure
+from trivalent.semantics import (
+    LogicSpec,
+    SS,
+    ST,
+    TS,
+    TT,
+    is_antitheorem,
+    is_classical_tautology,
+    is_classically_unsatisfiable,
+    is_classically_valid,
+    is_theorem,
+    is_valid,
+)
+from trivalent.closure import Universe, dual_transitive_closure, universe_inferences
 from trivalent.characterize import (
     FamilyMember,
     LatticeFamily,
@@ -20,6 +33,7 @@ from trivalent.characterize import (
     replay_witness,
     star_set,
     union_gap_witness,
+    valid_subset,
     verify_lattices,
 )
 
@@ -77,6 +91,66 @@ def test_star_set_of_intersection(strong, weak):
 def test_classical_star_matches_st_star(strong):
     u = Universe.build(["p"], 2, 2, reserve=["q"])
     assert classical_star_set(u) == star_set(LogicSpec(strong, ST), u)
+
+
+def reference_valid_subset(logics, u):
+    """Oracle: one ``is_valid`` call per universe inference and logic."""
+    return {
+        inf for inf in universe_inferences(u)
+        if all(is_valid(logic, inf) for logic in logics)
+    }
+
+
+def reference_star_set(logics, u):
+    return {
+        inf for inf in universe_inferences(u)
+        if all(is_theorem(logic, inf.conclusion) for logic in logics)
+        or all(is_antitheorem(logic, inf.premises) for logic in logics)
+    }
+
+
+def reference_classical_star_set(u):
+    return {
+        inf for inf in universe_inferences(u)
+        if is_classical_tautology(inf.conclusion)
+        or is_classically_unsatisfiable(inf.premises)
+    }
+
+
+def assert_own_objects(found, u):
+    """The universe-wide sets hand back the universe's own inferences."""
+    own = {id(inf) for inf in universe_inferences(u)}
+    assert all(id(inf) in own for inf in found)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_universes(), bnm_schemes, bnm_schemes)
+def test_mask_kernel_matches_per_inference_reference(u, scheme, other):
+    logic_sets = [(LogicSpec(scheme, standard),) for standard in (SS, TT, ST, TS)]
+    logic_sets.append((LogicSpec(scheme, SS), LogicSpec(other, TT)))
+    for logics in logic_sets:
+        valid = valid_subset(logics, u)
+        assert valid == reference_valid_subset(logics, u)
+        star = star_set(logics, u)
+        assert star == reference_star_set(logics, u)
+        assert_own_objects(valid | star, u)
+    classical = classical_star_set(u)
+    assert classical == reference_classical_star_set(u)
+    assert_own_objects(classical, u)
+
+
+def test_kernel_checks_the_atom_cap_before_building(strong):
+    u = Universe([Var(f"a{i:02d}") for i in range(13)], 1)
+    assert u.inference_count() == 182
+    calls = (
+        lambda: valid_subset(LogicSpec(strong, SS), u),
+        lambda: star_set(LogicSpec(strong, TT), u),
+        lambda: classical_star_set(u),
+    )
+    for call in calls:
+        with pytest.raises(ResourceLimitError):
+            call()
+    assert "_inferences" not in vars(u) and "_premise_indices" not in vars(u)
 
 
 def test_td_equals_star_requires_reserve(strong):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_universes
 from trivalent.errors import ResourceLimitError
-from trivalent.formula import Inference, Var, parse_inference
+from trivalent.formula import Inference, Var, atoms, parse_inference
 from trivalent.closure import (
     Universe,
     check_operator_laws,
@@ -15,6 +16,7 @@ from trivalent.closure import (
     tarskian_closure,
     transitive_closure,
     universe_inferences,
+    universe_premise_indices,
     universe_preserving_substitutions,
 )
 
@@ -93,6 +95,24 @@ def test_universe_build_adds_reserve_as_bare_atom():
     assert all("q" not in str(f) for f in u.formulas if f != Var("q"))
     assert u.is_reserve_free(parse_inference("p => ~p"))
     assert not u.is_reserve_free(parse_inference("p => q"))
+
+
+def test_reserve_free_set_test_matches_atoms():
+    u = Universe.build(["p"], 1, 2, reserve=["q", "r"])
+    for inf in universe_inferences(u):
+        assert u.is_reserve_free(inf) == (not atoms(inf) & u.reserve_atoms)
+    assert u.is_reserve_free(parse_inference("p & ~p => p"))
+    assert not u.is_reserve_free(parse_inference("p => p & q"))
+
+
+def test_premise_indices_follow_inference_order():
+    u = Universe([P, Q, R], 2)
+    n = len(u.formulas)
+    for k, members in enumerate(universe_premise_indices(u)):
+        for j, conclusion in enumerate(u.formulas):
+            inf = universe_inferences(u)[k * n + j]
+            assert inf.premises == {u.formulas[i] for i in members}
+            assert inf.conclusion == conclusion
 
 
 def test_universe_materialization_cap():
@@ -199,6 +219,51 @@ def test_dual_closure_routes_agree(data):
     everything = frozenset(universe_inferences(u))
     naive = everything - naive_transitive_closure(everything - base, u)
     assert via_complement == direct == naive
+
+
+def set_cut_closure(base, u):
+    """Oracle: saturate a plain set of inferences under cut, one premise
+    set and conclusion at a time, until a pass adds nothing."""
+    members = set(base)
+    gammas = [
+        frozenset(combo)
+        for size in range(u.premise_cap + 1)
+        for combo in itertools.combinations(u.formulas, size)
+    ]
+    while True:
+        derives = {}
+        for inf in members:
+            derives.setdefault(inf.premises, set()).add(inf.conclusion)
+        added = {
+            Inference(gamma, phi)
+            for gamma in gammas
+            for delta, conclusions in derives.items()
+            if delta and delta <= derives.get(gamma, set())
+            for phi in conclusions
+        } - members
+        if not added:
+            return frozenset(members)
+        members |= added
+
+
+def same_objects(result, base):
+    """Every inference of ``result`` found in ``base`` is ``base``'s object."""
+    own = {inf: inf for inf in base}
+    return all(own.get(inf, inf) is inf for inf in result)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_universes(), st.data())
+def test_closures_match_set_reference(u, data):
+    population = universe_inferences(u)
+    base = frozenset(data.draw(st.lists(st.sampled_from(population), max_size=12)))
+    closed = transitive_closure(base, u)
+    assert closed == set_cut_closure(base, u)
+    assert same_objects(closed, base)
+    everything = frozenset(population)
+    interior = dual_transitive_closure(base, u)
+    assert interior == everything - set_cut_closure(everything - base, u)
+    assert same_objects(interior, base)
 
 
 def naive_tarskian_closure(base, u):

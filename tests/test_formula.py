@@ -11,7 +11,6 @@ from trivalent.formula import (
     Or,
     Var,
     atoms,
-    compose_substitutions,
     depth,
     enumerate_formulas,
     parse,
@@ -90,6 +89,14 @@ def test_substitute_examples():
 @given(formulas())
 def test_print_parse_round_trip(f):
     assert parse(str(f)) == f
+
+
+def compose_substitutions(outer, inner):
+    """The substitution mapping f to substitute(substitute(f, inner), outer)."""
+    composed = {name: substitute(image, outer) for name, image in inner.items()}
+    for name, image in outer.items():
+        composed.setdefault(name, image)
+    return composed
 
 
 @settings(max_examples=100)

@@ -18,8 +18,11 @@ from trivalent.semantics import (
     Standard,
     Valuation,
     all_valuations,
+    classical_masks,
     eval_formula,
     find_countervaluation,
+    formula_masks,
+    full_mask,
     is_antitheorem,
     is_classically_valid,
     is_theorem,
@@ -238,3 +241,30 @@ def test_atom_cap(strong):
     with pytest.raises(ResourceLimitError):
         is_valid(LogicSpec(strong, SS), wide)
     assert is_valid(LogicSpec(strong, SS), wide, atom_cap=13) is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bnm_schemes,
+    st.sampled_from([SS, TT, ST, TS]),
+    inferences(),
+    st.sets(st.sampled_from(["p", "q", "r", "s", "t"]), max_size=3),
+)
+def test_mask_verdict_over_superset_atoms(scheme, standard, inf, extra):
+    """Truth-functionality: the verdict read off masks over any superset of
+    the inference's atoms is its verdict over its own atoms."""
+    names = tuple(sorted(atoms(inf) | extra))
+    formulas_ = [*inf.premises, inf.conclusion]
+    logic = LogicSpec(scheme, standard)
+    accepts, rejects = formula_masks(logic, formulas_, names)
+    premise_mask = -1
+    for mask in accepts[:-1]:
+        premise_mask &= mask
+    assert (premise_mask & rejects[-1] == 0) == is_valid(logic, inf)
+
+    truths = classical_masks(formulas_, names)
+    classical_premises = -1
+    for mask in truths[:-1]:
+        classical_premises &= mask
+    classical_reject = full_mask(2 ** len(names)) ^ truths[-1]
+    assert (classical_premises & classical_reject == 0) == is_classically_valid(inf)
