@@ -405,7 +405,6 @@ def tarskian_closure(
 
 def check_operator_laws(
     samples: Iterable[tuple[Iterable[Inference], Universe]],
-    check_direct_duality: bool = True,
 ) -> Report:
     """Check the closure laws of the transitive operator, the interior laws
     of its dual, and the two complement identities, on every sample.
@@ -413,8 +412,7 @@ def check_operator_laws(
     Monotonicity is exercised by comparing each sample against its
     intersection and union with the next sample over the same universe.
     The complement identities are checked against the independent direct
-    fixpoint implementation (``check_direct_duality=False`` skips the
-    costlier second identity on large universes).
+    fixpoint implementation.
     """
     report = Report("operator-laws")
     normalized = [(frozenset(xs), u) for xs, u in samples]
@@ -448,10 +446,9 @@ def check_operator_laws(
             )
         direct = dual_transitive_closure_direct(xs, u)
         report.record("duality-td-from-t", direct == td_xs, label)
-        if check_direct_duality:
-            report.record(
-                "duality-t-from-td",
-                t_xs == everything - dual_transitive_closure_direct(everything - xs, u),
-                label,
-            )
+        report.record(
+            "duality-t-from-td",
+            t_xs == everything - dual_transitive_closure_direct(everything - xs, u),
+            label,
+        )
     return report

@@ -99,9 +99,6 @@ class Scheme:
     def disj(self, a: TruthValue, b: TruthValue) -> TruthValue:
         return self.disj_table[3 * a + b]
 
-    def renamed(self, name: str | None) -> "Scheme":
-        return Scheme(self.neg_table, self.conj_table, self.disj_table, name)
-
     def __str__(self) -> str:
         return self.name or "scheme"
 

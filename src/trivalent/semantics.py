@@ -360,10 +360,6 @@ def is_antitheorem(
     return all_ok == 0
 
 
-def valid_in_all(logics: Logics, inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    return all(is_valid(logic, inf, atom_cap) for logic in as_logic_tuple(logics))
-
-
 # --- masks over a shared atom tuple ---------------------------------------
 #
 # Many inferences over one formula pool are decided at once by evaluating

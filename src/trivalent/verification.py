@@ -151,7 +151,7 @@ def exhaustive_corpus() -> list[Inference]:
 
 
 class VerificationContext:
-    """Shared corpora, universes and caches for one verification run."""
+    """Shared corpora, universes and logics for one verification run."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
@@ -172,8 +172,6 @@ class VerificationContext:
             self.micro1,
             Universe.build(["p"], 1, 2, reserve=["q"]),
         )
-        self._classical: dict[Inference, bool] = {}
-        self._valid: dict[tuple[LogicSpec, Inference], bool] = {}
         self._logics: dict[tuple[Scheme, Standard], LogicSpec] = {}
 
     def rng_for(self, claim: str) -> random.Random:
@@ -187,19 +185,6 @@ class VerificationContext:
         if spec is None:
             spec = self._logics[key] = LogicSpec(scheme, standard)
         return spec
-
-    def classical(self, inf: Inference) -> bool:
-        cached = self._classical.get(inf)
-        if cached is None:
-            cached = self._classical[inf] = is_classically_valid(inf, self.config.atom_cap)
-        return cached
-
-    def valid(self, logic: LogicSpec, inf: Inference) -> bool:
-        key = (logic, inf)
-        cached = self._valid.get(key)
-        if cached is None:
-            cached = self._valid[key] = is_valid(logic, inf, self.config.atom_cap)
-        return cached
 
 
 # --- claims ----------------------------------------------------------------
@@ -305,17 +290,19 @@ def claim_scheme_enumeration(ctx: VerificationContext) -> Report:
 
 def claim_theorem1(ctx: VerificationContext) -> Report:
     report = Report("theorem1")
+    cap = ctx.config.atom_cap
+    st_logics = [ctx.logic(scheme, ST) for scheme in ctx.schemes]
     mismatches = 0
     total = 0
     for corpus_name, corpus in (("exhaustive", ctx.corpus_a), ("random", ctx.corpus_b)):
-        for scheme in ctx.schemes:
-            st_logic = ctx.logic(scheme, ST)
-            for inf in corpus:
+        for inf in corpus:
+            classical = is_classically_valid(inf, cap)
+            for st_logic in st_logics:
                 total += 1
-                if ctx.valid(st_logic, inf) != ctx.classical(inf):
+                if is_valid(st_logic, inf, cap) != classical:
                     mismatches += 1
                     report.record(
-                        "st-equals-classical", False, f"{scheme} on {corpus_name}: {inf}"
+                        "st-equals-classical", False, f"{st_logic.scheme} on {corpus_name}: {inf}"
                     )
     report.record("st-equals-classical", mismatches == 0, f"{total} comparisons")
     report.notes["comparisons"] = total
@@ -324,6 +311,7 @@ def claim_theorem1(ctx: VerificationContext) -> Report:
 
 def claim_theorem2(ctx: VerificationContext) -> Report:
     report = Report("theorem2")
+    cap = ctx.config.atom_cap
     all_i = Valuation.of({name: I for name in CORPUS_ATOMS})
     failures = 0
     total = 0
@@ -332,7 +320,7 @@ def claim_theorem2(ctx: VerificationContext) -> Report:
             ts_logic = ctx.logic(scheme, TS)
             for inf in corpus:
                 total += 1
-                ok = not ctx.valid(ts_logic, inf) and not satisfies_inference(
+                ok = not is_valid(ts_logic, inf, cap) and not satisfies_inference(
                     scheme, all_i, inf, TS
                 )
                 if not ok:
@@ -345,34 +333,31 @@ def claim_theorem2(ctx: VerificationContext) -> Report:
 
 def claim_theorem3(ctx: VerificationContext) -> Report:
     report = Report("theorem3")
+    cap = ctx.config.atom_cap
     pair_count = len(ctx.pair_schemes) ** 2
     for ss_scheme in ctx.pair_schemes:
         for tt_scheme in ctx.pair_schemes:
-            gap = check_union_gap(
-                ctx.logic(ss_scheme, SS), ctx.logic(tt_scheme, TT), ctx.config.atom_cap
-            )
+            gap = check_union_gap(ctx.logic(ss_scheme, SS), ctx.logic(tt_scheme, TT), cap)
             if not gap.passed:
                 for finding in gap.failures:
                     report.record("union-gap", False, f"{ss_scheme}/{tt_scheme}: {finding}")
     report.record("union-gap-all-pairs", report.passed, f"{pair_count} scheme pairs")
 
-    missing_pairs = []
-    for ss_scheme in ctx.pair_schemes:
-        ss_logic = ctx.logic(ss_scheme, SS)
-        for tt_scheme in ctx.pair_schemes:
-            tt_logic = ctx.logic(tt_scheme, TT)
-            separator = next(
-                (
-                    inf
-                    for inf in ctx.corpus_b
-                    if ctx.classical(inf)
-                    and not ctx.valid(ss_logic, inf)
-                    and not ctx.valid(tt_logic, inf)
-                ),
-                None,
-            )
-            if separator is None:
-                missing_pairs.append(f"{ss_scheme}/{tt_scheme}")
+    # One pass over the corpus: a classical inference separates every pair
+    # of an ss scheme and a tt scheme that both reject it.
+    unseparated = set(itertools.product(ctx.pair_schemes, repeat=2))
+    for inf in ctx.corpus_b:
+        if not unseparated:
+            break
+        if not is_classically_valid(inf, cap):
+            continue
+        ss_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, SS), inf, cap)]
+        if ss_rejecting:
+            tt_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, TT), inf, cap)]
+            unseparated.difference_update(itertools.product(ss_rejecting, tt_rejecting))
+    missing_pairs = [
+        f"{ss}/{tt}" for ss, tt in itertools.product(ctx.pair_schemes, repeat=2) if (ss, tt) in unseparated
+    ]
     report.record(
         "corpus-separator-per-pair",
         not missing_pairs,
@@ -387,23 +372,29 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     report = Report("theorem4")
     cap = ctx.config.atom_cap
 
-    reduced_valid = [inf for inf in ctx.reduced if ctx.classical(inf)]
+    reduced_valid = [inf for inf in ctx.reduced if is_classically_valid(inf, cap)]
     report.notes["reduced classically valid"] = len(reduced_valid)
     pair_count = len(ctx.pair_schemes) ** 2
     pair_failures = 0
-    for tt_scheme in ctx.pair_schemes:
-        tt_logic = ctx.logic(tt_scheme, TT)
-        for ss_scheme in ctx.pair_schemes:
-            ss_logic = ctx.logic(ss_scheme, SS)
-            for inf in reduced_valid:
-                witness = derive_classical(inf, tt_logic, ss_logic, cap)
-                if witness is None or not witness.all_passed or not replay_witness(inf, witness):
-                    pair_failures += 1
-                    report.record(
-                        "two-step-derivation",
-                        False,
-                        f"tt={tt_scheme} ss={ss_scheme}: {inf}",
-                    )
+    # The witness's steps do not depend on the schemes: build and replay it
+    # once, then decide its tt steps and its ss step under each scheme.
+    first = ctx.pair_schemes[0]
+    for inf in reduced_valid:
+        witness = derive_classical(inf, ctx.logic(first, TT), ctx.logic(first, SS), cap)
+        sound = witness is not None and replay_witness(inf, witness)
+        tt_ok = {
+            scheme: sound
+            and all(is_valid(ctx.logic(scheme, TT), step, cap) for step, _ in witness.tt_checks)
+            for scheme in ctx.pair_schemes
+        }
+        ss_ok = {
+            scheme: sound and is_valid(ctx.logic(scheme, SS), witness.ss_check[0], cap)
+            for scheme in ctx.pair_schemes
+        }
+        for tt_scheme, ss_scheme in itertools.product(ctx.pair_schemes, repeat=2):
+            if not (tt_ok[tt_scheme] and ss_ok[ss_scheme]):
+                pair_failures += 1
+                report.record("two-step-derivation", False, f"tt={tt_scheme} ss={ss_scheme}: {inf}")
     report.record(
         "two-step-derivation-all-pairs",
         pair_failures == 0,
@@ -415,7 +406,7 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     full_failures = 0
     full_valid = 0
     for inf in ctx.corpus_b:
-        if not ctx.classical(inf):
+        if not is_classically_valid(inf, cap):
             if derive_classical(inf, strong_tt, strong_ss, cap) is not None:
                 full_failures += 1
                 report.record("derivation-rejects-invalid", False, str(inf))
@@ -526,6 +517,7 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     """Sampled reflexivity, monotonicity, cut and substitution instances."""
     report = Report("lemma1")
     rng = ctx.rng_for("lemma1")
+    cap = ctx.config.atom_cap
     logic_sets: dict[str, tuple[LogicSpec, ...]] = {
         "ss": (ctx.logic(ctx.strong, SS),),
         "tt": (ctx.logic(ctx.strong, TT),),
@@ -537,7 +529,7 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     ]
 
     def member(logics, inf):
-        return all(ctx.valid(logic, inf) for logic in logics)
+        return all(is_valid(logic, inf, cap) for logic in logics)
 
     cut_instances = 0
     for name, logics in logic_sets.items():
@@ -575,16 +567,16 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     chained = 0
     strong_ss = ctx.logic(ctx.strong, SS)
     for inf in ctx.corpus_b[:2000]:
-        if not inf.premises or not ctx.valid(strong_ss, inf):
+        if not inf.premises or not is_valid(strong_ss, inf, cap):
             continue
         mid = inf.conclusion
         for f in rng.sample(pool, 8):
             step = Inference((mid,), f)
-            if ctx.valid(strong_ss, step):
+            if is_valid(strong_ss, step, cap):
                 chained += 1
                 report.record(
                     "cut-chained",
-                    ctx.valid(strong_ss, Inference(inf.premises, f)),
+                    is_valid(strong_ss, Inference(inf.premises, f), cap),
                     f"{inf} ; {step}",
                 )
                 break
@@ -611,7 +603,7 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
             for _ in range(ctx.config.equivalence_samples):
                 gamma = frozenset(rng.sample(pool, rng.randint(1, 3)))
                 antith = is_antitheorem(logic, gamma, cap)
-                via_fresh = ctx.valid(logic, Inference(gamma, fresh))
+                via_fresh = is_valid(logic, Inference(gamma, fresh), cap)
                 report.record(
                     "antitheorem-iff-fresh-conclusion",
                     antith == via_fresh,
@@ -621,13 +613,13 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
                     psi = rng.choice(pool)
                     report.record(
                         "antitheorem-implies-everything",
-                        ctx.valid(logic, Inference(gamma, psi)),
+                        is_valid(logic, Inference(gamma, psi), cap),
                         f"{logic}: {sorted(map(str, gamma))} => {psi}",
                     )
 
                 phi = rng.choice(pool)
                 theorem = is_theorem(logic, phi, cap)
-                from_fresh = ctx.valid(logic, Inference((fresh,), phi))
+                from_fresh = is_valid(logic, Inference((fresh,), phi), cap)
                 report.record(
                     "theorem-iff-fresh-premise",
                     theorem == from_fresh,
@@ -637,7 +629,7 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
                     gamma2 = frozenset(rng.sample(pool, rng.randint(0, 3)))
                     report.record(
                         "theorem-follows-from-anything",
-                        ctx.valid(logic, Inference(gamma2, phi)),
+                        is_valid(logic, Inference(gamma2, phi), cap),
                         f"{logic}: {phi}",
                     )
     return report

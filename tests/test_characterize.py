@@ -1,9 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import bnm_schemes, inferences, small_universes
+from trivalent import characterize
 from trivalent.errors import ResourceLimitError
 from trivalent.formula import Inference, Var, parse, parse_inference
+from trivalent.scheme import I, Scheme, T
 from trivalent.semantics import (
     LogicSpec,
     SS,
@@ -235,6 +237,56 @@ def test_verify_lattices_smoke(strong, weak, rng):
     u = Universe.build(["p", "q"], 1, 2, reserve=["r"])
     report = verify_lattices(family, sample, u)
     assert report.passed, report.failures[:3]
+
+
+def test_verify_lattices_checks_the_algebra_once(strong, monkeypatch):
+    family = LatticeFamily(LogicSpec(strong, SS), LogicSpec(strong, TT), LogicSpec(strong, ST))
+    sample = [parse_inference("p => p"), parse_inference("p & ~p => q")]
+    assert verify_lattices(family, sample).checks == len(sample)
+
+    join = characterize.lattice_join
+
+    def left_biased(a, b):
+        """Not commutative: the left argument wins on the pair {ss, tt}."""
+        return a if {a, b} == {FamilyMember.SS, FamilyMember.TT} else join(a, b)
+
+    monkeypatch.setattr(characterize, "lattice_join", left_biased)
+    for tried in ((), sample):
+        report = verify_lattices(family, tried)
+        assert [f.check for f in report.failures] == ["lattice-algebra"]
+        assert report.checks == 1 + len(tried)
+
+
+@pytest.mark.parametrize("broken_member", ["st", "ss"])
+def test_verify_lattices_checks_membership_facts(strong, broken_member):
+    """A non-BNM negation that maps 1 to 1 makes ``p => ~p`` valid: under
+    st that breaks st = classical, under ss it breaks ss => st."""
+    broken = Scheme((T, I, T), strong.conj_table, strong.disj_table)
+    logics = {
+        standard: LogicSpec(broken if name == broken_member else strong, standard, allow_non_bnm=True)
+        for name, standard in (("ss", SS), ("tt", TT), ("st", ST))
+    }
+    family = LatticeFamily(logics[SS], logics[TT], logics[ST])
+    invalid = parse_inference("p => ~p")
+    report = verify_lattices(family, [parse_inference("p => p"), invalid, parse_inference("q => q")])
+    assert [str(f) for f in report.failures] == [f"membership-identities: {invalid}"]
+    assert report.notes["sampled"] == 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(bnm_schemes, bnm_schemes, bnm_schemes, bnm_schemes, inferences())
+def test_witness_steps_do_not_depend_on_schemes(tt_a, ss_a, tt_b, ss_b, inf):
+    """The factorization theorem4 relies on: one witness serves every pair,
+    and each pair's verdicts are its steps re-decided under that pair."""
+    assume(is_classically_valid(inf))
+    first = derive_classical(inf, LogicSpec(tt_a, TT), LogicSpec(ss_a, SS))
+    other = derive_classical(inf, LogicSpec(tt_b, TT), LogicSpec(ss_b, SS))
+    assert other.delta == first.delta
+    assert other.step_inferences() == first.step_inferences()
+    assert [ok for _, ok in other.tt_checks] == [
+        is_valid(LogicSpec(tt_b, TT), step) for step, _ in first.tt_checks
+    ]
+    assert other.ss_check[1] == is_valid(LogicSpec(ss_b, SS), first.ss_check[0])
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,12 @@
+import dataclasses
+import itertools
 import json
 
+import pytest
+
+from trivalent import characterize, verification
+from trivalent.characterize import derive_classical, replay_witness
+from trivalent.semantics import SS, TT, is_classically_valid, is_valid
 from trivalent.verification import (
     CLAIMS,
     VerificationContext,
@@ -70,3 +77,61 @@ def test_random_inference_respects_bounds(rng):
         assert atoms(inf) <= {"p", "q", "r"}
         assert depth(inf.conclusion) <= 3
         assert all(depth(g) <= 3 for g in inf.premises)
+
+
+def test_theorem3_separator_search_matches_per_pair_search():
+    """At seed 15 the first 1,340 inferences separate weak/strong but not
+    strong/weak, and five pairs in all, so the first pair left is neither
+    the first pair nor its mirror image."""
+    ctx = VerificationContext(VerifyConfig(seed=15, corpus_size=1340, all_pairs=False))
+    missing = [
+        f"{ss}/{tt}"
+        for ss, tt in itertools.product(ctx.pair_schemes, repeat=2)
+        if next(
+            (
+                inf
+                for inf in ctx.corpus_b
+                if is_classically_valid(inf)
+                and not is_valid(ctx.logic(ss, SS), inf)
+                and not is_valid(ctx.logic(tt, TT), inf)
+            ),
+            None,
+        )
+        is None
+    ]
+    assert len(missing) == 4 and missing[0] == "strong/weak"
+    report = CLAIMS["theorem3"](ctx)
+    assert [str(f) for f in report.failures] == [
+        f"corpus-separator-per-pair: 4 of 9 pairs lack a separator (first: {missing[0]})"
+    ]
+
+
+@pytest.mark.parametrize(
+    "delta",
+    [lambda inf: inf.premises, lambda inf: inf.premises | {inf.conclusion}],
+    ids=["ss-step-fails", "tt-step-fails"],
+)
+def test_theorem4_pair_failures_match_per_pair_derivations(monkeypatch, delta):
+    """A weakened witness fails under some schemes: without the
+    excluded-middle disjuncts the ss step can fail, and with the conclusion
+    in the intermediate set the tt steps can.  The factored claim must name
+    the same (pair, inference) failures as one derivation per pair."""
+    monkeypatch.setattr(characterize, "delta_witness", delta)
+    ctx = VerificationContext(dataclasses.replace(SMALL, reduced_size=120))
+    expected = []
+    for tt, ss in itertools.product(ctx.pair_schemes, repeat=2):
+        for inf in ctx.reduced:
+            witness = derive_classical(inf, ctx.logic(tt, TT), ctx.logic(ss, SS))
+            if witness is not None and not (witness.all_passed and replay_witness(inf, witness)):
+                expected.append(f"two-step-derivation: tt={tt} ss={ss}: {inf}")
+    assert expected
+    report = CLAIMS["theorem4"](ctx)
+    pair_failures = [str(f) for f in report.failures if f.check == "two-step-derivation"]
+    assert sorted(pair_failures) == sorted(expected)
+
+
+def test_theorem4_fails_every_pair_when_the_replay_fails(monkeypatch):
+    monkeypatch.setattr(verification, "replay_witness", lambda inf, witness: False)
+    report = CLAIMS["theorem4"](VerificationContext(SMALL))
+    pair_failures = [f for f in report.failures if f.check == "two-step-derivation"]
+    assert len(pair_failures) == 9 * report.notes["reduced classically valid"] > 0
