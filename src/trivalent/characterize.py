@@ -50,6 +50,7 @@ from .semantics import (
     is_classically_valid,
     is_theorem,
     is_valid,
+    premise_mask,
     satisfies_inference,
 )
 
@@ -141,38 +142,29 @@ def replay_witness(inf: Inference, witness: DerivationWitness) -> bool:
 # back the universe's own inference objects.
 
 
-def _and_masks(masks: list[int], members: tuple[int, ...]) -> int:
-    """The AND of the members' masks; -1 (every bit) for no members, so
-    the empty premise set is never an antitheorem."""
-    out = -1
-    for i in members:
-        out &= masks[i]
-    return out
-
-
-def _kernels(logics: Logics, u: Universe, atom_cap: int) -> list[tuple[list[int], list[int]]]:
+def _kernels(logics: Logics, u: Universe) -> list[tuple[list[int], list[int]]]:
     """Per logic, each pool formula's premise accept mask and conclusion
     reject mask.  Raises on the atom cap before anything is built."""
     return [
-        formula_masks(logic, u.formulas, u.atom_names, atom_cap)
+        formula_masks(logic, u.formulas, u.atom_names)
         for logic in as_logic_tuple(logics)
     ]
 
 
-def valid_subset(logics: Logics, u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Inference]:
+def valid_subset(logics: Logics, u: Universe) -> frozenset[Inference]:
     """The universe inferences valid in every given logic: ``Gamma => phi``
     is valid iff ``Gamma``'s premise mask meets no bit of ``phi``'s reject
     mask."""
-    kernels = _kernels(logics, u, atom_cap)
+    kernels = _kernels(logics, u)
     inferences = universe_inferences(u)
     n = len(u.formulas)
     found: list[Inference] = []
     for k, members in enumerate(universe_premise_indices(u)):
         row: Iterable[int] = range(n)
         for accepts, rejects in kernels:
-            premise_mask = _and_masks(accepts, members)
-            if premise_mask:
-                row = [j for j in row if not premise_mask & rejects[j]]
+            accepted = premise_mask(accepts, members)
+            if accepted:
+                row = [j for j in row if not accepted & rejects[j]]
         base = k * n
         found.extend(inferences[base + j] for j in row)
     return frozenset(found)
@@ -193,12 +185,12 @@ def _star_inferences(u: Universe, theorems: list[int], antitheorem) -> frozenset
     return frozenset(found)
 
 
-def star_set(logics: Logics, u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Inference]:
+def star_set(logics: Logics, u: Universe) -> frozenset[Inference]:
     """All universe inferences with an antitheorem premise set or a theorem
     conclusion, decided semantically (intersections take both components).
     A theorem has an empty reject mask; an antitheorem set, an empty
     premise mask."""
-    kernels = _kernels(logics, u, atom_cap)
+    kernels = _kernels(logics, u)
     theorems = [
         j for j in range(len(u.formulas))
         if not any(rejects[j] for _, rejects in kernels)
@@ -207,20 +199,20 @@ def star_set(logics: Logics, u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> f
         u,
         theorems,
         lambda members: not any(
-            _and_masks(accepts, members) for accepts, _ in kernels
+            premise_mask(accepts, members) for accepts, _ in kernels
         ),
     )
 
 
-def classical_star_set(u: Universe, atom_cap: int = DEFAULT_ATOM_CAP) -> frozenset[Inference]:
+def classical_star_set(u: Universe) -> frozenset[Inference]:
     """The classical counterpart: unsatisfiable premises or tautological
     conclusion, decided by the two-valued evaluator."""
     names = u.atom_names
-    truths = classical_masks(u.formulas, names, atom_cap)
+    truths = classical_masks(u.formulas, names)
     full = full_mask(2 ** len(names))
     tautologies = [j for j, mask in enumerate(truths) if mask == full]
     return _star_inferences(
-        u, tautologies, lambda members: not _and_masks(truths, members)
+        u, tautologies, lambda members: not premise_mask(truths, members)
     )
 
 
@@ -229,9 +221,7 @@ def _require_reserve(u: Universe) -> None:
         raise ValueError("this check needs a universe with at least one reserve atom")
 
 
-def check_td_equals_star(
-    logics: Logics, u: Universe, atom_cap: int = DEFAULT_ATOM_CAP
-) -> Report:
+def check_td_equals_star(logics: Logics, u: Universe) -> Report:
     """Compare the dual transitive closure of a validity set against its
     star set, on the reserve-free part of the universe.
 
@@ -243,9 +233,9 @@ def check_td_equals_star(
     logic_tuple = as_logic_tuple(logics)
     label = " & ".join(str(logic) for logic in logic_tuple)
     report = Report(f"td-equals-star[{label}]")
-    members = valid_subset(logic_tuple, u, atom_cap)
+    members = valid_subset(logic_tuple, u)
     closed = dual_transitive_closure(members, u)
-    star = star_set(logic_tuple, u, atom_cap)
+    star = star_set(logic_tuple, u)
     free_closed = {inf for inf in closed if u.is_reserve_free(inf)}
     free_star = {inf for inf in star if u.is_reserve_free(inf)}
     report.notes["valid members"] = len(members)
@@ -258,12 +248,7 @@ def check_td_equals_star(
     return report
 
 
-def check_ts_collapse(
-    ss_logic: LogicSpec,
-    tt_logic: LogicSpec,
-    u: Universe,
-    atom_cap: int = DEFAULT_ATOM_CAP,
-) -> Report:
+def check_ts_collapse(ss_logic: LogicSpec, tt_logic: LogicSpec, u: Universe) -> Report:
     """The dual transitive closure of the ss/tt intersection is empty on the
     reserve-free part of the universe, and non-vacuously so."""
     if ss_logic.standard != SS:
@@ -272,7 +257,7 @@ def check_ts_collapse(
         raise ValueError("tt_logic must use the tolerant-tolerant standard")
     _require_reserve(u)
     report = Report(f"ts-collapse[{ss_logic} & {tt_logic}]")
-    both = valid_subset((ss_logic, tt_logic), u, atom_cap)
+    both = valid_subset((ss_logic, tt_logic), u)
     reflexive = any(inf.premises == frozenset({inf.conclusion}) for inf in both)
     report.record("intersection-nonvacuous", reflexive, "expected some f => f member")
     closed = dual_transitive_closure(both, u)
@@ -293,9 +278,7 @@ def union_gap_witness() -> Inference:
     return Inference((premise,), conclusion)
 
 
-def check_union_gap(
-    ss_logic: LogicSpec, tt_logic: LogicSpec, atom_cap: int = DEFAULT_ATOM_CAP
-) -> Report:
+def check_union_gap(ss_logic: LogicSpec, tt_logic: LogicSpec) -> Report:
     """The witness inference separating the ss/tt union from classical
     validity, plus the two incomparability witnesses."""
     if ss_logic.standard != SS:
@@ -304,9 +287,9 @@ def check_union_gap(
         raise ValueError("tt_logic must use the tolerant-tolerant standard")
     report = Report(f"union-gap[{ss_logic} & {tt_logic}]")
     witness = union_gap_witness()
-    report.record("witness-classical", is_classically_valid(witness, atom_cap), str(witness))
-    report.record("witness-ss-invalid", not is_valid(ss_logic, witness, atom_cap), str(witness))
-    report.record("witness-tt-invalid", not is_valid(tt_logic, witness, atom_cap), str(witness))
+    report.record("witness-classical", is_classically_valid(witness), str(witness))
+    report.record("witness-ss-invalid", not is_valid(ss_logic, witness), str(witness))
+    report.record("witness-tt-invalid", not is_valid(tt_logic, witness), str(witness))
 
     v_ss = Valuation.of({"p": TruthValue.T, "q": TruthValue.F, "r": TruthValue.I})
     v_tt = Valuation.of({"p": TruthValue.F, "q": TruthValue.I, "r": TruthValue.F})
@@ -324,19 +307,19 @@ def check_union_gap(
     p, r = Var("p"), Var("r")
     explosion = Inference((And(p, Neg(p)),), r)
     excluded_middle = Inference((), Or(p, Neg(p)))
-    report.record("explosion-ss-valid", is_valid(ss_logic, explosion, atom_cap), str(explosion))
-    report.record("explosion-tt-invalid", not is_valid(tt_logic, explosion, atom_cap), str(explosion))
+    report.record("explosion-ss-valid", is_valid(ss_logic, explosion), str(explosion))
+    report.record("explosion-tt-invalid", not is_valid(tt_logic, explosion), str(explosion))
     report.record(
-        "excluded-middle-tt-valid", is_valid(tt_logic, excluded_middle, atom_cap), str(excluded_middle)
+        "excluded-middle-tt-valid", is_valid(tt_logic, excluded_middle), str(excluded_middle)
     )
     report.record(
         "excluded-middle-ss-invalid",
-        not is_valid(ss_logic, excluded_middle, atom_cap),
+        not is_valid(ss_logic, excluded_middle),
         str(excluded_middle),
     )
 
     ts_logic = LogicSpec(ss_logic.scheme, TS)
-    report.record("witness-ts-invalid", not is_valid(ts_logic, witness, atom_cap), str(witness))
+    report.record("witness-ts-invalid", not is_valid(ts_logic, witness), str(witness))
     return report
 
 
@@ -403,8 +386,8 @@ class LatticeFamily:
             return (self.ss, self.tt)
         return (self.st,)
 
-    def decide(self, member: FamilyMember, inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-        return all(is_valid(logic, inf, atom_cap) for logic in self.logics(member))
+    def decide(self, member: FamilyMember, inf: Inference) -> bool:
+        return all(is_valid(logic, inf) for logic in self.logics(member))
 
 
 def _lattice_algebra_failure() -> str | None:
@@ -437,7 +420,6 @@ def verify_lattices(
     family: LatticeFamily,
     sample: Iterable[Inference],
     universe: Universe | None = None,
-    atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> Report:
     """Check the lattice algebra once on the four members, membership on the
     sample, and (when a universe is supplied) the star-set lattice exactly
@@ -459,7 +441,7 @@ def verify_lattices(
     decided = 0
     for inf in sample:
         ss, tt, st = (
-            family.decide(m, inf, atom_cap) for m in (FamilyMember.SS, FamilyMember.TT, FamilyMember.ST)
+            family.decide(m, inf) for m in (FamilyMember.SS, FamilyMember.TT, FamilyMember.ST)
         )
         value = {
             FamilyMember.SS: ss,
@@ -468,25 +450,21 @@ def verify_lattices(
             FamilyMember.ST: st,
         }
         decided += 1
-        ok = st == is_classically_valid(inf, atom_cap) and all(
-            value[b] for a, b in order if value[a]
-        )
+        ok = st == is_classically_valid(inf) and all(value[b] for a, b in order if value[a])
         if not report.record("membership-identities", ok, "" if ok else str(inf)):
             break
     report.notes["sampled"] = decided
 
     if universe is not None:
-        _star_lattice_checks(report, family, universe, atom_cap)
+        _star_lattice_checks(report, family, universe)
     return report
 
 
-def _star_lattice_checks(
-    report: Report, family: LatticeFamily, u: Universe, atom_cap: int
-) -> None:
-    ss_star = star_set(family.ss, u, atom_cap)
-    tt_star = star_set(family.tt, u, atom_cap)
-    st_star = star_set(family.st, u, atom_cap)
-    cl_star = classical_star_set(u, atom_cap)
+def _star_lattice_checks(report: Report, family: LatticeFamily, u: Universe) -> None:
+    ss_star = star_set(family.ss, u)
+    tt_star = star_set(family.tt, u)
+    st_star = star_set(family.st, u)
+    cl_star = classical_star_set(u)
     report.record(
         "star-union-equals-st-star", ss_star | tt_star == st_star,
         f"|ss*|={len(ss_star)} |tt*|={len(tt_star)} |st*|={len(st_star)}",
@@ -494,7 +472,7 @@ def _star_lattice_checks(
     report.record("st-star-equals-classical-star", st_star == cl_star, "")
 
     ts_logic = LogicSpec(family.st.scheme, TS)
-    ts_star = star_set(ts_logic, u, atom_cap)
+    ts_star = star_set(ts_logic, u)
     report.record("ts-star-empty", ts_star == frozenset(), f"|ts*|={len(ts_star)}")
     report.record(
         "ts-star-equals-td-of-empty",
@@ -532,22 +510,22 @@ def _star_lattice_checks(
 
     p, q = Var("p"), Var("q")
     example = Inference((And(p, Neg(p)),), Or(q, Neg(q)))
-    in_ss = is_antitheorem(family.ss, example.premises, atom_cap)
-    in_tt = is_theorem(family.tt, example.conclusion, atom_cap)
+    in_ss = is_antitheorem(family.ss, example.premises)
+    in_tt = is_theorem(family.tt, example.conclusion)
     report.record("contradiction-to-tautology-in-star-meet", in_ss and in_tt, str(example))
-    ts_theorem = is_theorem(ts_logic, example.conclusion, atom_cap)
-    ts_antith = is_antitheorem(ts_logic, example.premises, atom_cap)
+    ts_theorem = is_theorem(ts_logic, example.conclusion)
+    ts_antith = is_antitheorem(ts_logic, example.premises)
     report.record("contradiction-to-tautology-not-in-ts-star", not (ts_theorem or ts_antith), str(example))
 
     explosionish = Inference((And(p, Neg(p)),), q)
     lem_ish = Inference((p,), Or(q, Neg(q)))
     report.record(
         "star-incomparability",
-        is_antitheorem(family.ss, explosionish.premises, atom_cap)
-        and not is_theorem(family.tt, explosionish.conclusion, atom_cap)
-        and not is_antitheorem(family.tt, explosionish.premises, atom_cap)
-        and is_theorem(family.tt, lem_ish.conclusion, atom_cap)
-        and not is_antitheorem(family.ss, lem_ish.premises, atom_cap)
-        and not is_theorem(family.ss, lem_ish.conclusion, atom_cap),
+        is_antitheorem(family.ss, explosionish.premises)
+        and not is_theorem(family.tt, explosionish.conclusion)
+        and not is_antitheorem(family.tt, explosionish.premises)
+        and is_theorem(family.tt, lem_ish.conclusion)
+        and not is_antitheorem(family.ss, lem_ish.premises)
+        and not is_theorem(family.ss, lem_ish.conclusion),
         "explosion-style vs excluded-middle-style witnesses",
     )

@@ -37,6 +37,7 @@ from .scheme import (
     schemes_from_selector,
 )
 from .semantics import (
+    DEFAULT_ATOM_CAP,
     LogicSpec,
     SS,
     TT,
@@ -80,6 +81,8 @@ def cmd_check(args) -> int:
     inf = parse_inference(args.inference)
     schemes = schemes_from_selector(args.scheme, args.allow_non_bnm)
     standards = [parse_standard(part) for part in args.standard.split(",") if part.strip()]
+    if not standards:
+        raise ValueError("empty standard selector")
     valuation = _parse_valuation(args.valuation) if args.valuation else None
 
     results = []
@@ -123,10 +126,17 @@ def cmd_check(args) -> int:
     return 0 if all_valid else 1
 
 
+def _single_scheme(selector: str, option: str) -> Scheme:
+    schemes = schemes_from_selector(selector)
+    if len(schemes) != 1:
+        raise ValueError(f"{option} must name exactly one scheme, not {len(schemes)}")
+    return schemes[0]
+
+
 def cmd_derive(args) -> int:
     inf = parse_inference(args.inference)
-    tt_logic = LogicSpec(schemes_from_selector(args.tt_scheme)[0], TT)
-    ss_logic = LogicSpec(schemes_from_selector(args.ss_scheme)[0], SS)
+    tt_logic = LogicSpec(_single_scheme(args.tt_scheme, "--tt-scheme"), TT)
+    ss_logic = LogicSpec(_single_scheme(args.ss_scheme, "--ss-scheme"), SS)
     witness = derive_classical(inf, tt_logic, ss_logic, args.atom_cap)
     if witness is None:
         if args.format == "json":
@@ -297,7 +307,6 @@ def cmd_verify(args) -> int:
         lemma_samples=args.lemma_samples,
         equivalence_samples=args.equivalence_samples,
         all_pairs=(args.schemes == "all-pairs"),
-        atom_cap=args.atom_cap,
     )
     only = [part.strip() for part in args.only.split(",") if part.strip()] if args.only else None
     names = resolve_claims(only)
@@ -363,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--atom-cap", type=int, default=12)
         p.add_argument("--config", help=argparse.SUPPRESS)
 
     p_check = sub.add_parser("check", help="decide validity of one inference")
@@ -372,6 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--standard", default="st", help="ss|tt|st|ts or <premise>:<conclusion>, comma-separated")
     p_check.add_argument("--valuation", help="evaluate at one valuation, e.g. p=1,q=i")
     p_check.add_argument("--allow-non-bnm", action="store_true")
+    p_check.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
     add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -379,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.add_argument("inference")
     p_derive.add_argument("--tt-scheme", default="strong")
     p_derive.add_argument("--ss-scheme", default="strong")
+    p_derive.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
     add_common(p_derive)
     p_derive.set_defaults(func=cmd_derive)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import MissingAtomError, ResourceLimitError
 from .formula import And, Formula, Inference, Neg, Or, Var, atoms
@@ -217,12 +217,6 @@ def valuation_at(names: Sequence[str], index: int) -> Valuation:
     return Valuation(tuple(zip(names, values)))
 
 
-def all_valuations(names: Iterable[str]) -> Iterator[Valuation]:
-    ordered = sorted_atom_tuple(names)
-    for index in range(valuation_count(ordered)):
-        yield valuation_at(ordered, index)
-
-
 def _check_atom_cap(names: Sequence[str], atom_cap: int) -> None:
     if len(names) > atom_cap:
         raise ResourceLimitError(
@@ -290,27 +284,61 @@ def _accept_table(standard: FormulaStandard) -> bytes:
 _FLIP01 = bytes(1 - v if v < 2 else 0 for v in range(256))
 
 
-def _violation_int(
-    logic: LogicSpec, inf: Inference, names: tuple[str, ...]
+# --- accept masks ----------------------------------------------------------
+#
+# A mask is an int with one byte per valuation over an atom tuple, in
+# canonical order (valuation 0 is the most significant byte): the byte is 1
+# where the formula meets a formula-standard.  Every decider reads its
+# verdict off these masks.  By truth-functionality a verdict read over a
+# superset of an inference's atoms equals the verdict over its own atoms,
+# so many inferences over one formula pool are decided at once by
+# evaluating every pool formula once over the union of the pool's atoms.
+
+def full_mask(size: int) -> int:
+    """The mask holding every one of ``size`` valuations."""
+    return (1 << (8 * size)) // 255
+
+
+def accept_masks(
+    scheme: Scheme,
+    formulas: Iterable[Formula],
+    names: tuple[str, ...],
+    standard: FormulaStandard,
+) -> list[int]:
+    """Per formula, the valuations over ``names`` where it meets ``standard``."""
+    accept = _accept_table(standard)
+    # A plain loop: single-inference deciders call this with one to four
+    # formulas, where a comprehension's own call costs a measurable share.
+    masks = []
+    for f in formulas:
+        masks.append(int.from_bytes(truth_vector(scheme, f, names).translate(accept), "big"))
+    return masks
+
+
+def premise_mask(masks: Sequence[int], members: Iterable[int]) -> int:
+    """The AND of the members' masks; -1 (every bit) for no members, so
+    the empty premise set is never an antitheorem."""
+    out = -1
+    for i in members:
+        out &= masks[i]
+    return out
+
+
+def _violations(
+    logic: LogicSpec, premises: Iterable[Formula], conclusion: Formula, names: tuple[str, ...]
 ) -> int:
-    """Bitmap (one byte per valuation) of valuations falsifying the inference."""
-    size = valuation_count(names)
-    premises_ok = (1 << (8 * size)) // 255  # 0x0101...01: all-ones bytewise
-    accept_premise = _accept_table(logic.standard.premise)
-    for g in inf.premises:
-        vec = truth_vector(logic.scheme, g, names).translate(accept_premise)
-        premises_ok &= int.from_bytes(vec, "big")
-    conclusion_bad = truth_vector(logic.scheme, inf.conclusion, names).translate(
-        _accept_table(logic.standard.conclusion)
-    ).translate(_FLIP01)
-    return premises_ok & int.from_bytes(conclusion_bad, "big")
+    """Mask of the valuations falsifying ``premises => conclusion``."""
+    accepts = accept_masks(logic.scheme, premises, names, logic.standard.premise)
+    (meets,) = accept_masks(logic.scheme, (conclusion,), names, logic.standard.conclusion)
+    rejects = full_mask(valuation_count(names)) ^ meets
+    return premise_mask(accepts, range(len(accepts))) & rejects
 
 
 def is_valid(logic: LogicSpec, inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Validity decided over all valuations of the inference's own atoms."""
     names = sorted_atom_tuple(inf)
     _check_atom_cap(names, atom_cap)
-    return _violation_int(logic, inf, names) == 0
+    return _violations(logic, inf.premises, inf.conclusion, names) == 0
 
 
 def find_countervaluation(
@@ -319,7 +347,7 @@ def find_countervaluation(
     """The canonically first valuation falsifying the inference, if any."""
     names = sorted_atom_tuple(inf)
     _check_atom_cap(names, atom_cap)
-    violations = _violation_int(logic, inf, names)
+    violations = _violations(logic, inf.premises, inf.conclusion, names)
     if violations == 0:
         return None
     # Valuation 0 is the most significant byte, so the first violation is
@@ -329,13 +357,11 @@ def find_countervaluation(
 
 
 def is_theorem(logic: LogicSpec, f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    """Does the formula meet the conclusion standard under every valuation?"""
+    """Does the formula meet the conclusion standard under every valuation?
+    (Validity of ``=> f``.)"""
     names = sorted_atom_tuple(f)
     _check_atom_cap(names, atom_cap)
-    vec = truth_vector(logic.scheme, f, names).translate(
-        _accept_table(logic.standard.conclusion)
-    )
-    return all(b == 1 for b in vec)
+    return _violations(logic, (), f, names) == 0
 
 
 def is_antitheorem(
@@ -343,36 +369,12 @@ def is_antitheorem(
 ) -> bool:
     """Does every valuation drop some member below the premise standard?"""
     members = list(gamma)
-    names = sorted_atom_tuple(n for g in members for n in atoms(g))
     if not members:
         return False
-    if not names:
-        return False
+    names = sorted_atom_tuple(n for g in members for n in atoms(g))
     _check_atom_cap(names, atom_cap)
-    size = valuation_count(names)
-    all_ok = (1 << (8 * size)) // 255
-    accept = _accept_table(logic.standard.premise)
-    for g in members:
-        vec = truth_vector(logic.scheme, g, names).translate(accept)
-        all_ok &= int.from_bytes(vec, "big")
-        if all_ok == 0:
-            return True
-    return all_ok == 0
-
-
-# --- masks over a shared atom tuple ---------------------------------------
-#
-# Many inferences over one formula pool are decided at once by evaluating
-# every pool formula once over the union of the pool's atoms.  A mask is an
-# int with one byte per valuation, as in ``_violation_int``: the byte is 1
-# where the formula meets the standard.  By truth-functionality a verdict
-# read over a superset of an inference's atoms equals the verdict over its
-# own atoms, so ``Gamma => phi`` is valid iff the AND of the premises'
-# accept masks meets no bit of the conclusion's reject mask.
-
-def full_mask(size: int) -> int:
-    """The mask holding every one of ``size`` valuations."""
-    return (1 << (8 * size)) // 255
+    accepts = accept_masks(logic.scheme, members, names, logic.standard.premise)
+    return premise_mask(accepts, range(len(accepts))) == 0
 
 
 def formula_masks(
@@ -385,14 +387,9 @@ def formula_masks(
     standard, and those where it fails the conclusion standard."""
     _check_atom_cap(names, atom_cap)
     full = full_mask(valuation_count(names))
-    accept_premise = _accept_table(logic.standard.premise)
-    accept_conclusion = _accept_table(logic.standard.conclusion)
-    accepts, rejects = [], []
-    for f in formulas:
-        vec = truth_vector(logic.scheme, f, names)
-        accepts.append(int.from_bytes(vec.translate(accept_premise), "big"))
-        rejects.append(full ^ int.from_bytes(vec.translate(accept_conclusion), "big"))
-    return accepts, rejects
+    accepts = accept_masks(logic.scheme, formulas, names, logic.standard.premise)
+    meets = accept_masks(logic.scheme, formulas, names, logic.standard.conclusion)
+    return accepts, [full ^ mask for mask in meets]
 
 
 def classical_masks(
@@ -432,33 +429,6 @@ def bool_vector(f: Formula, names: tuple[str, ...]) -> bytes:
 def is_classically_valid(inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Validity over all two-valued Boolean valuations."""
     names = sorted_atom_tuple(inf)
-    _check_atom_cap(names, atom_cap)
-    size = 2 ** len(names)
-    premises_ok = (1 << (8 * size)) // 255
-    for g in inf.premises:
-        premises_ok &= int.from_bytes(bool_vector(g, names), "big")
-    conclusion_bad = int.from_bytes(
-        bool_vector(inf.conclusion, names).translate(_FLIP01), "big"
-    )
-    return premises_ok & conclusion_bad == 0
-
-
-def is_classical_tautology(f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
-    names = sorted_atom_tuple(f)
-    _check_atom_cap(names, atom_cap)
-    return all(b == 1 for b in bool_vector(f, names))
-
-
-def is_classically_unsatisfiable(
-    gamma: Iterable[Formula], atom_cap: int = DEFAULT_ATOM_CAP
-) -> bool:
-    members = list(gamma)
-    if not members:
-        return False
-    names = sorted_atom_tuple(n for g in members for n in atoms(g))
-    _check_atom_cap(names, atom_cap)
-    size = 2 ** len(names)
-    all_ok = (1 << (8 * size)) // 255
-    for g in members:
-        all_ok &= int.from_bytes(bool_vector(g, names), "big")
-    return all_ok == 0
+    *truths, holds = classical_masks((*inf.premises, inf.conclusion), names, atom_cap)
+    rejects = full_mask(2 ** len(names)) ^ holds
+    return premise_mask(truths, range(len(truths))) & rejects == 0

@@ -105,7 +105,6 @@ class VerifyConfig:
     lemma_samples: int = 200
     equivalence_samples: int = 60
     all_pairs: bool = True
-    atom_cap: int = 12
 
 
 CORPUS_ATOMS = ("p", "q", "r")
@@ -290,16 +289,15 @@ def claim_scheme_enumeration(ctx: VerificationContext) -> Report:
 
 def claim_theorem1(ctx: VerificationContext) -> Report:
     report = Report("theorem1")
-    cap = ctx.config.atom_cap
     st_logics = [ctx.logic(scheme, ST) for scheme in ctx.schemes]
     mismatches = 0
     total = 0
     for corpus_name, corpus in (("exhaustive", ctx.corpus_a), ("random", ctx.corpus_b)):
         for inf in corpus:
-            classical = is_classically_valid(inf, cap)
+            classical = is_classically_valid(inf)
             for st_logic in st_logics:
                 total += 1
-                if is_valid(st_logic, inf, cap) != classical:
+                if is_valid(st_logic, inf) != classical:
                     mismatches += 1
                     report.record(
                         "st-equals-classical", False, f"{st_logic.scheme} on {corpus_name}: {inf}"
@@ -311,7 +309,6 @@ def claim_theorem1(ctx: VerificationContext) -> Report:
 
 def claim_theorem2(ctx: VerificationContext) -> Report:
     report = Report("theorem2")
-    cap = ctx.config.atom_cap
     all_i = Valuation.of({name: I for name in CORPUS_ATOMS})
     failures = 0
     total = 0
@@ -320,7 +317,7 @@ def claim_theorem2(ctx: VerificationContext) -> Report:
             ts_logic = ctx.logic(scheme, TS)
             for inf in corpus:
                 total += 1
-                ok = not is_valid(ts_logic, inf, cap) and not satisfies_inference(
+                ok = not is_valid(ts_logic, inf) and not satisfies_inference(
                     scheme, all_i, inf, TS
                 )
                 if not ok:
@@ -333,11 +330,10 @@ def claim_theorem2(ctx: VerificationContext) -> Report:
 
 def claim_theorem3(ctx: VerificationContext) -> Report:
     report = Report("theorem3")
-    cap = ctx.config.atom_cap
     pair_count = len(ctx.pair_schemes) ** 2
     for ss_scheme in ctx.pair_schemes:
         for tt_scheme in ctx.pair_schemes:
-            gap = check_union_gap(ctx.logic(ss_scheme, SS), ctx.logic(tt_scheme, TT), cap)
+            gap = check_union_gap(ctx.logic(ss_scheme, SS), ctx.logic(tt_scheme, TT))
             if not gap.passed:
                 for finding in gap.failures:
                     report.record("union-gap", False, f"{ss_scheme}/{tt_scheme}: {finding}")
@@ -349,11 +345,11 @@ def claim_theorem3(ctx: VerificationContext) -> Report:
     for inf in ctx.corpus_b:
         if not unseparated:
             break
-        if not is_classically_valid(inf, cap):
+        if not is_classically_valid(inf):
             continue
-        ss_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, SS), inf, cap)]
+        ss_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, SS), inf)]
         if ss_rejecting:
-            tt_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, TT), inf, cap)]
+            tt_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, TT), inf)]
             unseparated.difference_update(itertools.product(ss_rejecting, tt_rejecting))
     missing_pairs = [
         f"{ss}/{tt}" for ss, tt in itertools.product(ctx.pair_schemes, repeat=2) if (ss, tt) in unseparated
@@ -370,9 +366,8 @@ def claim_theorem3(ctx: VerificationContext) -> Report:
 
 def claim_theorem4(ctx: VerificationContext) -> Report:
     report = Report("theorem4")
-    cap = ctx.config.atom_cap
 
-    reduced_valid = [inf for inf in ctx.reduced if is_classically_valid(inf, cap)]
+    reduced_valid = [inf for inf in ctx.reduced if is_classically_valid(inf)]
     report.notes["reduced classically valid"] = len(reduced_valid)
     pair_count = len(ctx.pair_schemes) ** 2
     pair_failures = 0
@@ -380,15 +375,15 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     # once, then decide its tt steps and its ss step under each scheme.
     first = ctx.pair_schemes[0]
     for inf in reduced_valid:
-        witness = derive_classical(inf, ctx.logic(first, TT), ctx.logic(first, SS), cap)
+        witness = derive_classical(inf, ctx.logic(first, TT), ctx.logic(first, SS))
         sound = witness is not None and replay_witness(inf, witness)
         tt_ok = {
             scheme: sound
-            and all(is_valid(ctx.logic(scheme, TT), step, cap) for step, _ in witness.tt_checks)
+            and all(is_valid(ctx.logic(scheme, TT), step) for step, _ in witness.tt_checks)
             for scheme in ctx.pair_schemes
         }
         ss_ok = {
-            scheme: sound and is_valid(ctx.logic(scheme, SS), witness.ss_check[0], cap)
+            scheme: sound and is_valid(ctx.logic(scheme, SS), witness.ss_check[0])
             for scheme in ctx.pair_schemes
         }
         for tt_scheme, ss_scheme in itertools.product(ctx.pair_schemes, repeat=2):
@@ -406,13 +401,13 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     full_failures = 0
     full_valid = 0
     for inf in ctx.corpus_b:
-        if not is_classically_valid(inf, cap):
-            if derive_classical(inf, strong_tt, strong_ss, cap) is not None:
+        if not is_classically_valid(inf):
+            if derive_classical(inf, strong_tt, strong_ss) is not None:
                 full_failures += 1
                 report.record("derivation-rejects-invalid", False, str(inf))
             continue
         full_valid += 1
-        witness = derive_classical(inf, strong_tt, strong_ss, cap)
+        witness = derive_classical(inf, strong_tt, strong_ss)
         if witness is None or not witness.all_passed or not replay_witness(inf, witness):
             full_failures += 1
             report.record("two-step-derivation-full", False, str(inf))
@@ -421,9 +416,9 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     )
 
     u = ctx.micro1
-    union = valid_subset(strong_ss, u, cap) | valid_subset(strong_tt, u, cap)
+    union = valid_subset(strong_ss, u) | valid_subset(strong_tt, u)
     closed = transitive_closure(union, u)
-    st_members = valid_subset(ctx.logic(ctx.strong, ST), u, cap)
+    st_members = valid_subset(ctx.logic(ctx.strong, ST), u)
     report.record(
         "closure-of-union-inside-st",
         closed <= st_members,
@@ -444,7 +439,7 @@ def claim_theorem5(ctx: VerificationContext) -> Report:
     )
     for u in (ctx.micro1, ctx.micro2):
         for ss_logic, tt_logic in assignments:
-            result = check_ts_collapse(ss_logic, tt_logic, u, ctx.config.atom_cap)
+            result = check_ts_collapse(ss_logic, tt_logic, u)
             report.checks += result.checks
             report.failures.extend(result.failures)
     return report
@@ -478,7 +473,7 @@ def claim_prop2(ctx: VerificationContext) -> Report:
                 logics[ST],
             ]
             for case in cases:
-                result = check_td_equals_star(case, u, ctx.config.atom_cap)
+                result = check_td_equals_star(case, u)
                 report.checks += result.checks
                 for finding in result.failures:
                     report.record("td-equals-star", False, f"{label}: {finding}")
@@ -499,9 +494,8 @@ def claim_operator_laws(ctx: VerificationContext) -> Report:
 def claim_prop3(ctx: VerificationContext) -> Report:
     report = Report("prop3")
     u = ctx.micro1
-    cap = ctx.config.atom_cap
-    l1 = valid_subset(ctx.logic(ctx.strong, SS), u, cap)
-    l2 = valid_subset(ctx.logic(ctx.strong, TT), u, cap)
+    l1 = valid_subset(ctx.logic(ctx.strong, SS), u)
+    l2 = valid_subset(ctx.logic(ctx.strong, TT), u)
     report.record("ss-tarskian-closed", tarskian_closure(l1, u) == l1, f"|ss members|={len(l1)}")
     report.record("tt-tarskian-closed", tarskian_closure(l2, u) == l2, f"|tt members|={len(l2)}")
     union = l1 | l2
@@ -517,7 +511,6 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     """Sampled reflexivity, monotonicity, cut and substitution instances."""
     report = Report("lemma1")
     rng = ctx.rng_for("lemma1")
-    cap = ctx.config.atom_cap
     logic_sets: dict[str, tuple[LogicSpec, ...]] = {
         "ss": (ctx.logic(ctx.strong, SS),),
         "tt": (ctx.logic(ctx.strong, TT),),
@@ -529,7 +522,7 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     ]
 
     def member(logics, inf):
-        return all(is_valid(logic, inf, cap) for logic in logics)
+        return all(is_valid(logic, inf) for logic in logics)
 
     cut_instances = 0
     for name, logics in logic_sets.items():
@@ -567,16 +560,16 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     chained = 0
     strong_ss = ctx.logic(ctx.strong, SS)
     for inf in ctx.corpus_b[:2000]:
-        if not inf.premises or not is_valid(strong_ss, inf, cap):
+        if not inf.premises or not is_valid(strong_ss, inf):
             continue
         mid = inf.conclusion
         for f in rng.sample(pool, 8):
             step = Inference((mid,), f)
-            if is_valid(strong_ss, step, cap):
+            if is_valid(strong_ss, step):
                 chained += 1
                 report.record(
                     "cut-chained",
-                    is_valid(strong_ss, Inference(inf.premises, f), cap),
+                    is_valid(strong_ss, Inference(inf.premises, f)),
                     f"{inf} ; {step}",
                 )
                 break
@@ -591,7 +584,6 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
 def claim_facts_45(ctx: VerificationContext) -> Report:
     """Antitheorem and theorem equivalences through a fresh variable."""
     report = Report("facts4-5")
-    cap = ctx.config.atom_cap
     rng = ctx.rng_for("facts4-5")
     fresh = Var("s")
     pool = [
@@ -602,8 +594,8 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
             logic = ctx.logic(scheme, standard)
             for _ in range(ctx.config.equivalence_samples):
                 gamma = frozenset(rng.sample(pool, rng.randint(1, 3)))
-                antith = is_antitheorem(logic, gamma, cap)
-                via_fresh = is_valid(logic, Inference(gamma, fresh), cap)
+                antith = is_antitheorem(logic, gamma)
+                via_fresh = is_valid(logic, Inference(gamma, fresh))
                 report.record(
                     "antitheorem-iff-fresh-conclusion",
                     antith == via_fresh,
@@ -613,13 +605,13 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
                     psi = rng.choice(pool)
                     report.record(
                         "antitheorem-implies-everything",
-                        is_valid(logic, Inference(gamma, psi), cap),
+                        is_valid(logic, Inference(gamma, psi)),
                         f"{logic}: {sorted(map(str, gamma))} => {psi}",
                     )
 
                 phi = rng.choice(pool)
-                theorem = is_theorem(logic, phi, cap)
-                from_fresh = is_valid(logic, Inference((fresh,), phi), cap)
+                theorem = is_theorem(logic, phi)
+                from_fresh = is_valid(logic, Inference((fresh,), phi))
                 report.record(
                     "theorem-iff-fresh-premise",
                     theorem == from_fresh,
@@ -629,7 +621,7 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
                     gamma2 = frozenset(rng.sample(pool, rng.randint(0, 3)))
                     report.record(
                         "theorem-follows-from-anything",
-                        is_valid(logic, Inference(gamma2, phi), cap),
+                        is_valid(logic, Inference(gamma2, phi)),
                         f"{logic}: {phi}",
                     )
     return report
@@ -637,15 +629,14 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
 
 def claim_non_reflexivity(ctx: VerificationContext) -> Report:
     report = Report("non-reflexivity")
-    cap = ctx.config.atom_cap
     u = ctx.micro1
     p = Var("p")
     reflexive = Inference((p,), p)
     bases = {
-        "ss": valid_subset(ctx.logic(ctx.strong, SS), u, cap),
-        "tt": valid_subset(ctx.logic(ctx.strong, TT), u, cap),
-        "ss&tt": valid_subset((ctx.logic(ctx.strong, SS), ctx.logic(ctx.strong, TT)), u, cap),
-        "st": valid_subset(ctx.logic(ctx.strong, ST), u, cap),
+        "ss": valid_subset(ctx.logic(ctx.strong, SS), u),
+        "tt": valid_subset(ctx.logic(ctx.strong, TT), u),
+        "ss&tt": valid_subset((ctx.logic(ctx.strong, SS), ctx.logic(ctx.strong, TT)), u),
+        "st": valid_subset(ctx.logic(ctx.strong, ST), u),
     }
     for name, base in bases.items():
         report.record(f"{name}-contains-p=>p", reflexive in base, "")
@@ -667,7 +658,7 @@ def claim_lattice(ctx: VerificationContext) -> Report:
         ),
     }
     for label, family in families.items():
-        result = verify_lattices(family, ctx.corpus_b, None, ctx.config.atom_cap)
+        result = verify_lattices(family, ctx.corpus_b)
         report.checks += result.checks
         for finding in result.failures:
             report.record("lattice-identities", False, f"{label}: {finding}")
@@ -689,7 +680,7 @@ def claim_star_lattice(ctx: VerificationContext) -> Report:
         ("mixed", mixed_family, ctx.micro1),
     )
     for label, family, u in runs:
-        result = verify_lattices(family, (), u, ctx.config.atom_cap)
+        result = verify_lattices(family, (), u)
         report.checks += result.checks
         for finding in result.failures:
             report.record("star-lattice", False, f"{label}/{u.describe()}: {finding}")

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from conftest import bnm_schemes, inferences, small_universes
 from trivalent import characterize
 from trivalent.errors import ResourceLimitError
-from trivalent.formula import Inference, Var, parse, parse_inference
+from trivalent.formula import Inference, Var, atoms, parse, parse_inference
 from trivalent.scheme import I, Scheme, T
 from trivalent.semantics import (
     LogicSpec,
@@ -12,12 +12,13 @@ from trivalent.semantics import (
     ST,
     TS,
     TT,
+    bool_vector,
+    full_mask,
     is_antitheorem,
-    is_classical_tautology,
-    is_classically_unsatisfiable,
     is_classically_valid,
     is_theorem,
     is_valid,
+    sorted_atom_tuple,
 )
 from trivalent.closure import Universe, dual_transitive_closure, universe_inferences
 from trivalent.characterize import (
@@ -109,6 +110,21 @@ def reference_star_set(logics, u):
         if all(is_theorem(logic, inf.conclusion) for logic in logics)
         or all(is_antitheorem(logic, inf.premises) for logic in logics)
     }
+
+
+def is_classical_tautology(f):
+    return all(b == 1 for b in bool_vector(f, sorted_atom_tuple(f)))
+
+
+def is_classically_unsatisfiable(gamma):
+    members = list(gamma)
+    if not members:
+        return False
+    names = sorted_atom_tuple(n for g in members for n in atoms(g))
+    all_ok = full_mask(2 ** len(names))
+    for g in members:
+        all_ok &= int.from_bytes(bool_vector(g, names), "big")
+    return all_ok == 0
 
 
 def reference_classical_star_set(u):

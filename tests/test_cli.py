@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from trivalent import semantics
 from trivalent.cli import main
 from trivalent.scheme import preset, scheme_to_text
 
@@ -236,3 +239,36 @@ def test_verify_config_file(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "verify", "--config", str(config))
     assert code == 0
     assert [c["claim"] for c in payload["claims"]] == ["scheme-enumeration"]
+
+
+def test_check_rejects_an_empty_standard_list(capsys):
+    for selector in (",", " , "):
+        code, out, err = run(capsys, "check", "--standard", selector, "p => q")
+        assert code == 2 and "empty standard selector" in err and out == ""
+
+
+def test_derive_needs_exactly_one_scheme_per_stage(capsys):
+    for option, selector in (("--tt-scheme", "all"), ("--ss-scheme", "strong,weak")):
+        code, out, err = run(capsys, "derive", option, selector, "p => p | q")
+        assert code == 2 and f"{option} must name exactly one scheme" in err and out == ""
+    code, _, _ = run(capsys, "derive", "--tt-scheme", "id:0b0000", "p => p | q")
+    assert code == 0
+
+
+def test_atom_cap_is_an_option_of_check_and_derive_only(capsys):
+    wide = "=> " + " | ".join(f"x{i}" for i in range(13))
+    try:
+        for command in (("check", "--scheme", "strong", "--standard", "ss"), ("derive",)):
+            code, _, err = run(capsys, *command, wide)
+            assert code == 2 and "above the cap of 12" in err
+            code, _, err = run(capsys, *command, "--atom-cap", "13", wide)
+            assert code == 1 and err == ""
+    finally:
+        # The 13-atom vectors are large; keep them out of the rest of the run.
+        semantics.truth_vector.cache_clear()
+        semantics._var_vector.cache_clear()
+    for command in ("verify", "schemes", "closure"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--atom-cap", "3"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --atom-cap" in capsys.readouterr().err

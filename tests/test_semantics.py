@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from trivalent.semantics import (
     FormulaStandard,
     Standard,
     Valuation,
-    all_valuations,
+    accept_masks,
     classical_masks,
     eval_formula,
     find_countervaluation,
@@ -28,10 +30,24 @@ from trivalent.semantics import (
     is_theorem,
     is_valid,
     parse_standard,
+    premise_mask,
     satisfies_inference,
+    valuation_at,
 )
 
 WITNESS = parse_inference("p | (q & ~q) => p & (r | ~r)")
+
+# Any premise and any conclusion formula-standard over {0, i, 1}, empty
+# ones included: all 64 standards.
+formula_standards = st.frozensets(st.sampled_from([F, I, T])).map(FormulaStandard)
+any_standard = st.builds(Standard, formula_standards, formula_standards)
+
+
+def all_valuations(names):
+    """Every valuation over ``names``, in canonical order."""
+    ordered = tuple(sorted(set(names)))
+    for index in range(3 ** len(ordered)):
+        yield valuation_at(ordered, index)
 
 
 def naive_is_valid(logic, inf):
@@ -150,10 +166,43 @@ def test_antitheoremhood(strong):
 
 
 @settings(max_examples=150)
-@given(bnm_schemes, st.sampled_from([SS, TT, ST, TS]), inferences())
+@given(bnm_schemes, any_standard, inferences())
 def test_validity_agrees_with_satisfaction_oracle(scheme, standard, inf):
     logic = LogicSpec(scheme, standard)
     assert is_valid(logic, inf) == naive_is_valid(logic, inf)
+
+
+@settings(max_examples=150)
+@given(bnm_schemes, any_standard, inferences())
+def test_deciders_agree_with_a_valuation_scan(scheme, standard, inf):
+    """Oracle: read theoremhood, antitheoremhood and the first
+    countervaluation off a scan of ``eval_formula`` values."""
+    logic = LogicSpec(scheme, standard)
+    premise_ok, conclusion_ok = standard.premise.accepts, standard.conclusion.accepts
+
+    def scan(formulas):
+        names = sorted(set().union(*map(atoms, formulas)))
+        for values in product([F, I, T], repeat=len(names)):
+            v = Valuation.of(zip(names, values))
+            yield v, [eval_formula(scheme, v, f) for f in formulas]
+
+    theorem = all(conclusion_ok(value) for _, (value,) in scan([inf.conclusion]))
+    assert is_theorem(logic, inf.conclusion) == theorem
+
+    premises = list(inf.premises)
+    antitheorem = bool(premises) and not any(
+        all(map(premise_ok, values)) for _, values in scan(premises)
+    )
+    assert is_antitheorem(logic, premises) == antitheorem
+
+    first = next(
+        (
+            v for v, values in scan([*premises, inf.conclusion])
+            if all(map(premise_ok, values[:-1])) and not conclusion_ok(values[-1])
+        ),
+        None,
+    )
+    assert find_countervaluation(logic, inf) == first
 
 
 @settings(max_examples=150)
@@ -257,14 +306,10 @@ def test_mask_verdict_over_superset_atoms(scheme, standard, inf, extra):
     formulas_ = [*inf.premises, inf.conclusion]
     logic = LogicSpec(scheme, standard)
     accepts, rejects = formula_masks(logic, formulas_, names)
-    premise_mask = -1
-    for mask in accepts[:-1]:
-        premise_mask &= mask
-    assert (premise_mask & rejects[-1] == 0) == is_valid(logic, inf)
+    assert accepts == accept_masks(scheme, formulas_, names, standard.premise)
+    premises = range(len(formulas_) - 1)
+    assert (premise_mask(accepts, premises) & rejects[-1] == 0) == is_valid(logic, inf)
 
     truths = classical_masks(formulas_, names)
-    classical_premises = -1
-    for mask in truths[:-1]:
-        classical_premises &= mask
     classical_reject = full_mask(2 ** len(names)) ^ truths[-1]
-    assert (classical_premises & classical_reject == 0) == is_classically_valid(inf)
+    assert (premise_mask(truths, premises) & classical_reject == 0) == is_classically_valid(inf)
