@@ -218,6 +218,7 @@ def valuation_at(names: Sequence[str], index: int) -> Valuation:
 
 
 def _check_atom_cap(names: Sequence[str], atom_cap: int) -> None:
+    """Raise before a valuation space over more than ``atom_cap`` atoms is built."""
     if len(names) > atom_cap:
         raise ResourceLimitError(
             f"valuation space ranges over {len(names)} atoms, above the cap of {atom_cap}"
@@ -369,8 +370,6 @@ def is_antitheorem(
 ) -> bool:
     """Does every valuation drop some member below the premise standard?"""
     members = list(gamma)
-    if not members:
-        return False
     names = sorted_atom_tuple(n for g in members for n in atoms(g))
     _check_atom_cap(names, atom_cap)
     accepts = accept_masks(logic.scheme, members, names, logic.standard.premise)
@@ -378,25 +377,22 @@ def is_antitheorem(
 
 
 def formula_masks(
-    logic: LogicSpec,
-    formulas: Sequence[Formula],
-    names: tuple[str, ...],
-    atom_cap: int = DEFAULT_ATOM_CAP,
+    logic: LogicSpec, formulas: Sequence[Formula], names: tuple[str, ...]
 ) -> tuple[list[int], list[int]]:
     """Per formula, the valuations over ``names`` where it meets the premise
-    standard, and those where it fails the conclusion standard."""
-    _check_atom_cap(names, atom_cap)
+    standard, and those where it fails the conclusion standard.  Raises
+    above ``DEFAULT_ATOM_CAP`` atoms before anything is built."""
+    _check_atom_cap(names, DEFAULT_ATOM_CAP)
     full = full_mask(valuation_count(names))
     accepts = accept_masks(logic.scheme, formulas, names, logic.standard.premise)
     meets = accept_masks(logic.scheme, formulas, names, logic.standard.conclusion)
     return accepts, [full ^ mask for mask in meets]
 
 
-def classical_masks(
-    formulas: Sequence[Formula], names: tuple[str, ...], atom_cap: int = DEFAULT_ATOM_CAP
-) -> list[int]:
-    """Per formula, the two-valued valuations over ``names`` making it true."""
-    _check_atom_cap(names, atom_cap)
+def classical_masks(formulas: Sequence[Formula], names: tuple[str, ...]) -> list[int]:
+    """Per formula, the two-valued valuations over ``names`` making it true.
+    Raises above ``DEFAULT_ATOM_CAP`` atoms before anything is built."""
+    _check_atom_cap(names, DEFAULT_ATOM_CAP)
     return [int.from_bytes(bool_vector(f, names), "big") for f in formulas]
 
 
@@ -429,6 +425,9 @@ def bool_vector(f: Formula, names: tuple[str, ...]) -> bytes:
 def is_classically_valid(inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Validity over all two-valued Boolean valuations."""
     names = sorted_atom_tuple(inf)
-    *truths, holds = classical_masks((*inf.premises, inf.conclusion), names, atom_cap)
+    _check_atom_cap(names, atom_cap)
+    *truths, holds = (
+        int.from_bytes(bool_vector(f, names), "big") for f in (*inf.premises, inf.conclusion)
+    )
     rejects = full_mask(2 ** len(names)) ^ holds
     return premise_mask(truths, range(len(truths))) & rejects == 0

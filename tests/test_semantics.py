@@ -30,7 +30,6 @@ from trivalent.semantics import (
     is_theorem,
     is_valid,
     parse_standard,
-    premise_mask,
     satisfies_inference,
     valuation_at,
 )
@@ -290,6 +289,9 @@ def test_atom_cap(strong):
     with pytest.raises(ResourceLimitError):
         is_valid(LogicSpec(strong, SS), wide)
     assert is_valid(LogicSpec(strong, SS), wide, atom_cap=13) is False
+    with pytest.raises(ResourceLimitError):
+        is_classically_valid(wide)
+    assert is_classically_valid(wide, atom_cap=13) is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,9 +309,14 @@ def test_mask_verdict_over_superset_atoms(scheme, standard, inf, extra):
     logic = LogicSpec(scheme, standard)
     accepts, rejects = formula_masks(logic, formulas_, names)
     assert accepts == accept_masks(scheme, formulas_, names, standard.premise)
-    premises = range(len(formulas_) - 1)
-    assert (premise_mask(accepts, premises) & rejects[-1] == 0) == is_valid(logic, inf)
+    premises = -1
+    for mask in accepts[:-1]:
+        premises &= mask
+    assert (premises & rejects[-1] == 0) == is_valid(logic, inf)
 
     truths = classical_masks(formulas_, names)
+    classical_premises = -1
+    for mask in truths[:-1]:
+        classical_premises &= mask
     classical_reject = full_mask(2 ** len(names)) ^ truths[-1]
-    assert (premise_mask(truths, premises) & classical_reject == 0) == is_classically_valid(inf)
+    assert (classical_premises & classical_reject == 0) == is_classically_valid(inf)
