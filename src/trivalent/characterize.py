@@ -44,14 +44,18 @@ from .semantics import (
     Valuation,
     as_logic_tuple,
     classical_masks,
+    classical_verdicts,
     formula_masks,
     full_mask,
     is_antitheorem,
     is_classically_valid,
     is_theorem,
     is_valid,
+    pool_rows,
     premise_mask,
     satisfies_inference,
+    sorted_atom_tuple,
+    verdict_masks,
 )
 
 
@@ -429,6 +433,9 @@ def verify_lattices(
     that holds between members holds between memberships too; it is checked
     once and recorded only when it fails.  Per inference the real facts
     remain: st is classical validity, and membership respects the order.
+    The sample is decided as one pool over the union of its atoms, so a
+    sample whose atoms together exceed ``DEFAULT_ATOM_CAP`` raises
+    ``ResourceLimitError`` before anything is evaluated.
     """
     report = Report("lattices")
     broken = _lattice_algebra_failure()
@@ -438,11 +445,18 @@ def verify_lattices(
         (a, b) for a, b in product(FamilyMember, repeat=2) if a is not b and member_leq(a, b)
     ]
 
+    # The whole sample is one pool, decided with the family's three schemes
+    # stacked: bit 0 of an ss mask, bit 1 of a tt mask, bit 2 of an st mask.
+    sample = list(sample)
+    pool, rows = pool_rows(sample)
+    names = sorted_atom_tuple(name for f in pool for name in atoms(f))
+    schemes = (family.ss.scheme, family.tt.scheme, family.st.scheme)
+    ss_masks, tt_masks, st_masks = verdict_masks(schemes, pool, rows, names, (SS, TT, ST))
     decided = 0
-    for inf in sample:
-        ss, tt, st = (
-            family.decide(m, inf) for m in (FamilyMember.SS, FamilyMember.TT, FamilyMember.ST)
-        )
+    for inf, ss_mask, tt_mask, st_mask, classical in zip(
+        sample, ss_masks, tt_masks, st_masks, classical_verdicts(pool, rows, names)
+    ):
+        ss, tt, st = bool(ss_mask & 1), bool(tt_mask & 2), bool(st_mask & 4)
         value = {
             FamilyMember.SS: ss,
             FamilyMember.TT: tt,
@@ -450,7 +464,7 @@ def verify_lattices(
             FamilyMember.ST: st,
         }
         decided += 1
-        ok = st == is_classically_valid(inf) and all(value[b] for a, b in order if value[a])
+        ok = st == classical and all(value[b] for a, b in order if value[a])
         if not report.record("membership-identities", ok, "" if ok else str(inf)):
             break
     report.notes["sampled"] = decided

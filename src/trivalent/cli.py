@@ -363,6 +363,19 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return remaining[:1] + expanded + remaining[1:]
 
 
+def _attach_dash_standards(argv: list[str]) -> list[str]:
+    """Rewrite ``--standard -:1`` as ``--standard=-:1``.  A standard with no
+    premise values starts with ``-``, and argparse reads any such word as an
+    option, not as the value of the one before it."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--standard" and word.startswith("-") and not word.startswith("--"):
+            out[-1] = f"--standard={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trivalent",
@@ -435,7 +448,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
+        argv = _attach_dash_standards(_apply_config_file(argv))
         args = _shared_parser().parse_args(argv)
         return args.func(args)
     except (TrivalentError, ValueError, OSError) as exc:

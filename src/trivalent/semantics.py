@@ -431,3 +431,136 @@ def is_classically_valid(inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bo
     )
     rejects = full_mask(2 ** len(names)) ^ holds
     return premise_mask(truths, range(len(truths))) & rejects == 0
+
+
+# --- pools: many inferences under many schemes in one pass ----------------
+#
+# A corpus is decided as a pool: its distinct formulas, each evaluated once
+# over the union of their atoms, and each inference as a row of pool
+# indices.  The stacked evaluator runs up to ``MAX_STACKED_SCHEMES`` schemes
+# at once: a formula's stacked vector is its truth vectors end to end, block
+# ``s`` under ``schemes[s]``.  Adding ``3*s`` to block ``s`` of a negation's
+# argument, or ``9*s`` to block ``s`` of a carry-free pair code
+# ``3*left + right``, gives every block its own codes, so one 256-entry
+# table applies each scheme's table to its own block.
+
+Row = tuple[tuple[int, ...], int]
+
+MAX_STACKED_SCHEMES = 256 // 9
+
+
+def pool_rows(inferences: Iterable[Inference]) -> tuple[tuple[Formula, ...], list[Row]]:
+    """The distinct formulas of ``inferences`` in first-seen order, and each
+    inference as (premise pool indices, conclusion pool index)."""
+    index: dict[Formula, int] = {}
+    rows = []
+    for inf in inferences:
+        premises = tuple(index.setdefault(g, len(index)) for g in inf.premises)
+        rows.append((premises, index.setdefault(inf.conclusion, len(index))))
+    return tuple(index), rows
+
+
+def _stacked_tables(schemes: Sequence[Scheme]) -> tuple[bytes, bytes, bytes]:
+    """Negation, conjunction and disjunction tables over the block codes."""
+    neg, conj, disj = bytearray(256), bytearray(256), bytearray(256)
+    for s, scheme in enumerate(schemes):
+        neg[3 * s:3 * s + 3] = scheme.neg_table
+        conj[9 * s:9 * s + 9] = scheme.conj_table
+        disj[9 * s:9 * s + 9] = scheme.disj_table
+    return bytes(neg), bytes(conj), bytes(disj)
+
+
+def stacked_vectors(
+    schemes: Sequence[Scheme], pool: Sequence[Formula], names: tuple[str, ...]
+) -> list[bytes]:
+    """Per pool formula, its truth vectors over ``names`` under each scheme
+    end to end: bytes ``[s*3**n, (s+1)*3**n)`` equal
+    ``truth_vector(schemes[s], f, names)``.  Raises on more than
+    ``MAX_STACKED_SCHEMES`` schemes or above ``DEFAULT_ATOM_CAP`` atoms
+    before anything is built."""
+    k = len(schemes)
+    if not 1 <= k <= MAX_STACKED_SCHEMES:
+        raise ValueError(f"a stack holds 1 to {MAX_STACKED_SCHEMES} schemes, not {k}")
+    _check_atom_cap(names, DEFAULT_ATOM_CAP)
+    size = valuation_count(names)
+    length = k * size
+    neg, conj, disj = _stacked_tables(schemes)
+    neg_offsets = int.from_bytes(b"".join(bytes((3 * s,)) * size for s in range(k)), "big")
+    pair_offsets = 3 * neg_offsets
+    # Post-order over the distinct subformulas: a node is pushed once to
+    # expand it and once more, under its children, to evaluate it.
+    memo: dict[Formula, bytes] = {}
+    stack = [(f, False) for f in reversed(pool)]
+    while stack:
+        f, expanded = stack.pop()
+        if f in memo:
+            continue
+        if isinstance(f, Var):
+            if f.name not in names:
+                raise MissingAtomError(f.name)
+            memo[f] = _var_vector(names, f.name) * k
+        elif not expanded:
+            stack.append((f, True))
+            if isinstance(f, Neg):
+                stack.append((f.child, False))
+            else:
+                stack += ((f.right, False), (f.left, False))
+        elif isinstance(f, Neg):
+            code = int.from_bytes(memo[f.child], "big") + neg_offsets
+            memo[f] = code.to_bytes(length, "big").translate(neg)
+        else:
+            code = (
+                3 * int.from_bytes(memo[f.left], "big")
+                + int.from_bytes(memo[f.right], "big")
+                + pair_offsets
+            )
+            memo[f] = code.to_bytes(length, "big").translate(conj if isinstance(f, And) else disj)
+    return [memo[f] for f in pool]
+
+
+def _clear_blocks(violations: int, blocks: Sequence[int]) -> int:
+    """Bit ``s`` set iff ``violations`` meets no bit of ``blocks[s]``."""
+    bits = 0
+    for s, block in enumerate(blocks):
+        if not violations & block:
+            bits |= 1 << s
+    return bits
+
+
+def verdict_masks(
+    schemes: Sequence[Scheme],
+    pool: Sequence[Formula],
+    rows: Sequence[Row],
+    names: tuple[str, ...],
+    standards: Sequence[Standard],
+) -> list[list[int]]:
+    """Per standard, per row, a mask whose bit ``s`` is set iff the row's
+    inference is valid under ``schemes[s]`` and that standard.  The pool is
+    evaluated once, stacked, over ``names`` (any superset of its atoms)."""
+    vectors = stacked_vectors(schemes, pool, names)
+    k, size = len(schemes), valuation_count(names)
+    full = full_mask(k * size)
+    # Block s's mask in place: k*(k+1)/2 blocks of bytes in all, a few
+    # stacked vectors' worth, bought back by one AND per block and row.
+    blocks = [((1 << (8 * size)) - 1) << (8 * size * (k - 1 - s)) for s in range(k)]
+    out = []
+    for standard in standards:
+        accept = _accept_table(standard.premise)
+        meet = _accept_table(standard.conclusion)
+        accepts = [int.from_bytes(v.translate(accept), "big") for v in vectors]
+        rejects = [full ^ int.from_bytes(v.translate(meet), "big") for v in vectors]
+        out.append([
+            _clear_blocks(premise_mask(accepts, premises) & rejects[c], blocks)
+            for premises, c in rows
+        ])
+    return out
+
+
+def classical_verdicts(
+    pool: Sequence[Formula], rows: Iterable[Row], names: tuple[str, ...]
+) -> list[bool]:
+    """Per row, classical validity read off ``classical_masks`` over
+    ``names`` (any superset of the pool's atoms)."""
+    truths = classical_masks(pool, names)
+    full = full_mask(2 ** len(names))
+    return [premise_mask(truths, premises) & (full ^ truths[c]) == 0 for premises, c in rows]

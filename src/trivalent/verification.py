@@ -35,6 +35,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 from .closure import (
     Universe,
@@ -81,18 +82,22 @@ from .scheme import (
 )
 from .semantics import (
     LogicSpec,
+    Row,
     SS,
     ST,
     TS,
     TT,
     Standard,
     Valuation,
+    classical_verdicts,
     eval_formula,
     is_antitheorem,
     is_classically_valid,
     is_theorem,
     is_valid,
-    satisfies_inference,
+    pool_rows,
+    premise_mask,
+    verdict_masks,
 )
 
 
@@ -289,40 +294,68 @@ def claim_scheme_enumeration(ctx: VerificationContext) -> Report:
 
 def claim_theorem1(ctx: VerificationContext) -> Report:
     report = Report("theorem1")
-    st_logics = [ctx.logic(scheme, ST) for scheme in ctx.schemes]
+    schemes = ctx.schemes
+    corpus = [*ctx.corpus_a, *ctx.corpus_b]
+    pool, rows = pool_rows(corpus)
+    (st_masks,) = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (ST,))
+    every = (1 << len(schemes)) - 1
     mismatches = 0
-    total = 0
-    for corpus_name, corpus in (("exhaustive", ctx.corpus_a), ("random", ctx.corpus_b)):
-        for inf in corpus:
-            classical = is_classically_valid(inf)
-            for st_logic in st_logics:
-                total += 1
-                if is_valid(st_logic, inf) != classical:
-                    mismatches += 1
-                    report.record(
-                        "st-equals-classical", False, f"{st_logic.scheme} on {corpus_name}: {inf}"
-                    )
+    for r, (inf, mask, classical) in enumerate(
+        zip(corpus, st_masks, classical_verdicts(pool, rows, CORPUS_ATOMS))
+    ):
+        wrong = mask ^ (every if classical else 0)
+        if not wrong:
+            continue
+        corpus_name = "exhaustive" if r < len(ctx.corpus_a) else "random"
+        for s, scheme in enumerate(schemes):
+            if wrong >> s & 1:
+                mismatches += 1
+                report.record("st-equals-classical", False, f"{scheme} on {corpus_name}: {inf}")
+    total = len(schemes) * len(corpus)
     report.record("st-equals-classical", mismatches == 0, f"{total} comparisons")
     report.notes["comparisons"] = total
     return report
 
 
+def _all_middle_satisfied(
+    schemes: Sequence[Scheme], pool: Sequence[Formula], rows: Sequence[Row]
+) -> list[int]:
+    """Per row, the mask of schemes under which the all-``i`` valuation
+    satisfies the row's inference at ts, from ``eval_formula`` run once per
+    distinct formula and scheme."""
+    all_i = Valuation.of({name: I for name in CORPUS_ATOMS})
+    tolerates = [TS.premise.accepts(value) for value in VALUES]
+    meets = [TS.conclusion.accepts(value) for value in VALUES]
+    tolerated = [0] * len(pool)
+    strict = [0] * len(pool)
+    for s, scheme in enumerate(schemes):
+        for j, f in enumerate(pool):
+            value = eval_formula(scheme, all_i, f)
+            tolerated[j] |= tolerates[value] << s
+            strict[j] |= meets[value] << s
+    every = (1 << len(schemes)) - 1
+    return [every & ~premise_mask(tolerated, premises) | strict[c] for premises, c in rows]
+
+
 def claim_theorem2(ctx: VerificationContext) -> Report:
     report = Report("theorem2")
-    all_i = Valuation.of({name: I for name in CORPUS_ATOMS})
+    schemes = ctx.schemes
+    corpus = [*ctx.corpus_a, *ctx.corpus_b]
+    pool, rows = pool_rows(corpus)
+    (ts_masks,) = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (TS,))
+    bad = [
+        valid | satisfied
+        for valid, satisfied in zip(ts_masks, _all_middle_satisfied(schemes, pool, rows))
+    ]
     failures = 0
-    total = 0
-    for corpus in (ctx.corpus_a, ctx.corpus_b):
-        for scheme in ctx.schemes:
-            ts_logic = ctx.logic(scheme, TS)
-            for inf in corpus:
-                total += 1
-                ok = not is_valid(ts_logic, inf) and not satisfies_inference(
-                    scheme, all_i, inf, TS
-                )
-                if not ok:
+    for part in (range(len(ctx.corpus_a)), range(len(ctx.corpus_a), len(corpus))):
+        flagged = [r for r in part if bad[r]]
+        for s, scheme in enumerate(schemes):
+            for r in flagged:
+                if bad[r] >> s & 1:
                     failures += 1
-                    report.record("ts-invalid-with-all-i-witness", False, f"{scheme}: {inf}")
+                    report.record("ts-invalid-with-all-i-witness", False, f"{scheme}: {corpus[r]}")
+    total = len(schemes) * len(corpus)
     report.record("ts-invalid-with-all-i-witness", failures == 0, f"{total} inferences")
     report.notes["inferences"] = total
     return report
@@ -339,20 +372,28 @@ def claim_theorem3(ctx: VerificationContext) -> Report:
                     report.record("union-gap", False, f"{ss_scheme}/{tt_scheme}: {finding}")
     report.record("union-gap-all-pairs", report.passed, f"{pair_count} scheme pairs")
 
-    # One pass over the corpus: a classical inference separates every pair
-    # of an ss scheme and a tt scheme that both reject it.
-    unseparated = set(itertools.product(ctx.pair_schemes, repeat=2))
-    for inf in ctx.corpus_b:
-        if not unseparated:
+    # A classical inference separates every pair of an ss scheme and a tt
+    # scheme that both reject it; unseparated[i] holds the tt schemes not
+    # yet separated from ss scheme i.
+    schemes = ctx.pair_schemes
+    pool, rows = pool_rows(ctx.corpus_b)
+    classical = classical_verdicts(pool, rows, CORPUS_ATOMS)
+    separators = [inf for inf, valid in zip(ctx.corpus_b, classical) if valid]
+    pool, rows = pool_rows(separators)
+    ss_masks, tt_masks = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (SS, TT))
+    every = (1 << len(schemes)) - 1
+    unseparated = [every] * len(schemes)
+    for ss_mask, tt_mask in zip(ss_masks, tt_masks):
+        if not any(unseparated):
             break
-        if not is_classically_valid(inf):
-            continue
-        ss_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, SS), inf)]
-        if ss_rejecting:
-            tt_rejecting = [s for s in ctx.pair_schemes if not is_valid(ctx.logic(s, TT), inf)]
-            unseparated.difference_update(itertools.product(ss_rejecting, tt_rejecting))
+        for i in range(len(schemes)):
+            if not ss_mask >> i & 1:
+                unseparated[i] &= tt_mask
     missing_pairs = [
-        f"{ss}/{tt}" for ss, tt in itertools.product(ctx.pair_schemes, repeat=2) if (ss, tt) in unseparated
+        f"{ss}/{tt}"
+        for i, ss in enumerate(schemes)
+        for j, tt in enumerate(schemes)
+        if unseparated[i] >> j & 1
     ]
     report.record(
         "corpus-separator-per-pair",
@@ -372,22 +413,33 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     pair_count = len(ctx.pair_schemes) ** 2
     pair_failures = 0
     # The witness's steps do not depend on the schemes: build and replay it
-    # once, then decide its tt steps and its ss step under each scheme.
-    first = ctx.pair_schemes[0]
+    # once, then decide every witness's tt steps and ss step under each
+    # scheme as one pool.
+    schemes = ctx.pair_schemes
+    first = schemes[0]
+    witnesses = []
     for inf in reduced_valid:
         witness = derive_classical(inf, ctx.logic(first, TT), ctx.logic(first, SS))
         sound = witness is not None and replay_witness(inf, witness)
-        tt_ok = {
-            scheme: sound
-            and all(is_valid(ctx.logic(scheme, TT), step) for step, _ in witness.tt_checks)
-            for scheme in ctx.pair_schemes
-        }
-        ss_ok = {
-            scheme: sound and is_valid(ctx.logic(scheme, SS), witness.ss_check[0])
-            for scheme in ctx.pair_schemes
-        }
-        for tt_scheme, ss_scheme in itertools.product(ctx.pair_schemes, repeat=2):
-            if not (tt_ok[tt_scheme] and ss_ok[ss_scheme]):
+        witnesses.append(witness if sound else None)
+    steps = [
+        step for witness in witnesses if witness is not None for step in witness.step_inferences()
+    ]
+    pool, rows = pool_rows(steps)
+    tt_masks, ss_masks = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (TT, SS))
+    verdicts = iter(zip(tt_masks, ss_masks))
+    every = (1 << len(schemes)) - 1
+    for inf, witness in zip(reduced_valid, witnesses):
+        tt_ok = ss_ok = 0
+        if witness is not None:
+            tt_ok = every
+            for _ in witness.tt_checks:
+                tt_ok &= next(verdicts)[0]
+            ss_ok = next(verdicts)[1]
+        if tt_ok == ss_ok == every:
+            continue
+        for (i, tt_scheme), (j, ss_scheme) in itertools.product(enumerate(schemes), repeat=2):
+            if not (tt_ok >> i & 1 and ss_ok >> j & 1):
                 pair_failures += 1
                 report.record("two-step-derivation", False, f"tt={tt_scheme} ss={ss_scheme}: {inf}")
     report.record(

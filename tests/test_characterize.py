@@ -289,6 +289,15 @@ def test_verify_lattices_checks_membership_facts(strong, broken_member):
     assert report.notes["sampled"] == 2
 
 
+def test_verify_lattices_decides_the_sample_over_its_joint_atoms(strong):
+    """The sample is one pool: thirteen atoms spread over small inferences
+    still exceed the cap, and nothing is decided."""
+    family = LatticeFamily(LogicSpec(strong, SS), LogicSpec(strong, TT), LogicSpec(strong, ST))
+    sample = [Inference([Var(f"a{i:02d}")], Var(f"a{i:02d}")) for i in range(13)]
+    with pytest.raises(ResourceLimitError):
+        verify_lattices(family, sample)
+
+
 @settings(max_examples=30, deadline=None)
 @given(bnm_schemes, bnm_schemes, bnm_schemes, bnm_schemes, inferences())
 def test_witness_steps_do_not_depend_on_schemes(tt_a, ss_a, tt_b, ss_b, inf):

@@ -247,6 +247,18 @@ def test_check_rejects_an_empty_standard_list(capsys):
         assert code == 2 and "empty standard selector" in err and out == ""
 
 
+def test_check_takes_a_standard_with_no_premise_values(capsys):
+    """A standard whose premise part is ``-`` starts with a dash; it may
+    follow ``--standard`` as its own word or after ``=``."""
+    spaced = run(capsys, "check", "--standard", "-:1", "=> p")
+    joined = run(capsys, "check", "--standard=-:1", "=> p")
+    assert spaced == joined == (1, "=> p\n  strong/-:1: invalid  [p=0]\n", "")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "p => q", "--standard"])
+    assert exit_info.value.code == 2
+    assert "--standard: expected one argument" in capsys.readouterr().err
+
+
 def test_derive_needs_exactly_one_scheme_per_stage(capsys):
     for option, selector in (("--tt-scheme", "all"), ("--ss-scheme", "strong,weak")):
         code, out, err = run(capsys, "derive", option, selector, "p => p | q")

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bnm_schemes, formulas, inferences
+from trivalent import semantics
 from trivalent.errors import MissingAtomError, ResourceLimitError
 from trivalent.formula import And, Inference, Neg, Or, Var, atoms, parse, parse_inference
-from trivalent.scheme import F, I, T, enumerate_bnm_schemes
+from trivalent.scheme import F, I, T, Scheme, enumerate_bnm_schemes
 from trivalent.semantics import (
+    MAX_STACKED_SCHEMES,
     LogicSpec,
     SS,
     ST,
@@ -21,6 +23,7 @@ from trivalent.semantics import (
     Valuation,
     accept_masks,
     classical_masks,
+    classical_verdicts,
     eval_formula,
     find_countervaluation,
     formula_masks,
@@ -30,8 +33,12 @@ from trivalent.semantics import (
     is_theorem,
     is_valid,
     parse_standard,
+    pool_rows,
     satisfies_inference,
+    stacked_vectors,
+    truth_vector,
     valuation_at,
+    verdict_masks,
 )
 
 WITNESS = parse_inference("p | (q & ~q) => p & (r | ~r)")
@@ -320,3 +327,111 @@ def test_mask_verdict_over_superset_atoms(scheme, standard, inf, extra):
         classical_premises &= mask
     classical_reject = full_mask(2 ** len(names)) ^ truths[-1]
     assert (classical_premises & classical_reject == 0) == is_classically_valid(inf)
+
+
+# --- pools and the stacked kernel -------------------------------------------
+
+truth_values = st.sampled_from([F, I, T])
+# Any tables at all: almost every draw is neither Boolean normal nor monotonic.
+any_schemes = st.builds(
+    Scheme,
+    st.tuples(*[truth_values] * 3),
+    st.tuples(*[truth_values] * 9),
+    st.tuples(*[truth_values] * 9),
+)
+scheme_stacks = st.lists(st.one_of(bnm_schemes, any_schemes), min_size=1, max_size=16)
+POOL_STANDARDS = (SS, TT, ST, TS, parse_standard("-:1"), parse_standard("0i:1"))
+
+
+@st.composite
+def shared_pools(draw):
+    """A pool over the first 1-4 of p, q, r, s whose later formulas reuse
+    earlier ones as subformulas, as the same objects and as equal copies."""
+    names = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
+    leaves = st.sampled_from(names).map(Var)
+    shape = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Neg),
+            st.tuples(inner, inner).map(lambda pair: And(*pair)),
+            st.tuples(inner, inner).map(lambda pair: Or(*pair)),
+        ),
+        max_leaves=4,
+    )
+    pool = draw(st.lists(shape, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        left = draw(st.sampled_from(pool))
+        right = parse(str(draw(st.sampled_from(pool))))
+        pool.append(draw(st.sampled_from([And(left, right), Or(left, right), Neg(right)])))
+    return pool, names
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme_stacks, shared_pools())
+def test_stacked_vectors_are_per_scheme_truth_vectors(schemes, pool_and_names):
+    pool, names = pool_and_names
+    size = 3 ** len(names)
+    vectors = stacked_vectors(schemes, pool, names)
+    assert len(vectors) == len(pool)
+    for f, vector in zip(pool, vectors):
+        assert len(vector) == len(schemes) * size
+        for s, scheme in enumerate(schemes):
+            assert vector[s * size:(s + 1) * size] == truth_vector(scheme, f, names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    scheme_stacks,
+    st.lists(inferences(), min_size=1, max_size=6),
+    st.sets(st.sampled_from(["s", "t"])),
+)
+def test_verdict_masks_match_is_valid(schemes, corpus, extra):
+    """Bit s of a row's mask is its validity under scheme s, read over any
+    superset of the pool's atoms."""
+    pool, rows = pool_rows(corpus)
+    names = tuple(sorted(set().union(*map(atoms, pool)) | extra))
+    by_standard = verdict_masks(schemes, pool, rows, names, POOL_STANDARDS)
+    for standard, masks in zip(POOL_STANDARDS, by_standard):
+        for inf, mask in zip(corpus, masks):
+            assert mask >> len(schemes) == 0
+            for s, scheme in enumerate(schemes):
+                logic = LogicSpec(scheme, standard, allow_non_bnm=True)
+                assert bool(mask >> s & 1) == is_valid(logic, inf), (standard, s, inf)
+    assert classical_verdicts(pool, rows, names) == [is_classically_valid(inf) for inf in corpus]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(inferences(), max_size=8))
+def test_pool_rows_rebuild_every_inference(corpus):
+    pool, rows = pool_rows(corpus)
+    assert len(set(pool)) == len(pool)
+    assert set(pool) == {f for inf in corpus for f in (*inf.premises, inf.conclusion)}
+    assert [Inference([pool[i] for i in premises], pool[c]) for premises, c in rows] == corpus
+    assert all(len(premises) == len(inf.premises) for (premises, _), inf in zip(rows, corpus))
+
+
+def test_stacking_guards_raise_before_anything_is_built(strong):
+    wide = tuple(f"x{i:02d}" for i in range(13))
+    pool = [Var(name) for name in wide]
+    built = semantics._var_vector.cache_info().currsize
+    with pytest.raises(ResourceLimitError):
+        stacked_vectors([strong], pool, wide)
+    with pytest.raises(ResourceLimitError):
+        verdict_masks([strong], pool, [((), 0)], wide, (SS,))
+    with pytest.raises(ResourceLimitError):
+        classical_verdicts(pool, [((), 0)], wide)
+    for count in (0, MAX_STACKED_SCHEMES + 1):
+        with pytest.raises(ValueError):
+            stacked_vectors([strong] * count, pool[:1], wide[:1])
+    assert semantics._var_vector.cache_info().currsize == built
+    with pytest.raises(MissingAtomError):
+        stacked_vectors([strong], [Var("q")], ("p",))
+
+
+def test_a_full_stack_fits_one_byte():
+    """The largest stack puts codes up to 9*27 + 8 = 251 through the tables."""
+    assert MAX_STACKED_SCHEMES == 28
+    schemes = [*enumerate_bnm_schemes(), *enumerate_bnm_schemes()[:12]]
+    f = parse("~(p & q) | (q | ~p)")
+    (vector,) = stacked_vectors(schemes, [f], ("p", "q"))
+    assert vector == b"".join(truth_vector(scheme, f, ("p", "q")) for scheme in schemes)

@@ -6,9 +6,21 @@ import pytest
 
 from trivalent import characterize, verification
 from trivalent.characterize import derive_classical, replay_witness
-from trivalent.semantics import SS, TT, is_classically_valid, is_valid
+from trivalent.scheme import F, I, T, Scheme, preset
+from trivalent.semantics import (
+    SS,
+    ST,
+    TS,
+    TT,
+    LogicSpec,
+    Valuation,
+    is_classically_valid,
+    is_valid,
+    satisfies_inference,
+)
 from trivalent.verification import (
     CLAIMS,
+    CORPUS_ATOMS,
     VerificationContext,
     VerifyConfig,
     exhaustive_corpus,
@@ -135,3 +147,55 @@ def test_theorem4_fails_every_pair_when_the_replay_fails(monkeypatch):
     report = CLAIMS["theorem4"](VerificationContext(SMALL))
     pair_failures = [f for f in report.failures if f.check == "two-step-derivation"]
     assert len(pair_failures) == 9 * report.notes["reduced classically valid"] > 0
+
+
+def _context_with(*schemes):
+    """A small context whose schemes the claims stack, in this order."""
+    ctx = VerificationContext(SMALL)
+    ctx.schemes = schemes
+    return ctx
+
+
+def test_theorem1_compares_every_scheme():
+    """A negation sending 1 to 1 is not Boolean normal and breaks st =
+    classical; the break must be reported under that scheme, not under the
+    first one of the stack."""
+    strong = preset("strong")
+    broken = Scheme((T, I, T), strong.conj_table, strong.disj_table)
+    ctx = _context_with(strong, broken)
+    expected = [
+        f"st-equals-classical: {scheme} on {name}: {inf}"
+        for name, corpus in (("exhaustive", ctx.corpus_a), ("random", ctx.corpus_b))
+        for inf in corpus
+        for scheme in ctx.schemes
+        if is_valid(LogicSpec(scheme, ST, allow_non_bnm=True), inf) != is_classically_valid(inf)
+    ]
+    assert expected and all(": scheme on " in line for line in expected)
+    report = CLAIMS["theorem1"](ctx)
+    assert [str(f) for f in report.failures[:-1]] == expected
+    assert report.notes["comparisons"] == 2 * (len(ctx.corpus_a) + len(ctx.corpus_b))
+
+
+def test_theorem2_reads_the_all_middle_witness_per_scheme():
+    """A negation sending i to 0 drops ``~p`` below the tolerant standard at
+    the all-i valuation, which then satisfies every inference with such a
+    premise; each one must be reported, as the per-scheme route finds it."""
+    strong = preset("strong")
+    broken = Scheme((T, F, F), strong.conj_table, strong.disj_table)
+    ctx = _context_with(strong, broken)
+    all_i = Valuation.of({name: I for name in CORPUS_ATOMS})
+    expected = [
+        f"ts-invalid-with-all-i-witness: {scheme}: {inf}"
+        for corpus in (ctx.corpus_a, ctx.corpus_b)
+        for scheme in ctx.schemes
+        for inf in corpus
+        if is_valid(LogicSpec(scheme, TS, allow_non_bnm=True), inf)
+        or satisfies_inference(scheme, all_i, inf, TS)
+    ]
+    assert any(
+        satisfies_inference(broken, all_i, inf, TS)
+        and not is_valid(LogicSpec(broken, TS, allow_non_bnm=True), inf)
+        for inf in ctx.corpus_a
+    )
+    report = CLAIMS["theorem2"](ctx)
+    assert [str(f) for f in report.failures[:-1]] == expected
