@@ -90,6 +90,15 @@ class DerivationWitness:
         return [inf for inf, _ in self.tt_checks] + [self.ss_check[0]]
 
 
+def witness_steps(inf: Inference) -> tuple[frozenset[Formula], tuple[Inference, ...], Inference]:
+    """An inference's two-step witness: its intermediate set ``delta``, one
+    tt step ``premises => d`` per member ``d`` in formula order, and the ss
+    step ``delta => conclusion``; none of it depends on the schemes."""
+    delta = delta_witness(inf)
+    tt_steps = tuple(Inference(inf.premises, d) for d in sorted(delta, key=formula_key))
+    return delta, tt_steps, Inference(delta, inf.conclusion)
+
+
 def derive_classical(
     inf: Inference,
     tt_logic: LogicSpec,
@@ -108,23 +117,10 @@ def derive_classical(
         raise ValueError("ss_logic must use the strict-strict standard")
     if not is_classically_valid(inf, atom_cap):
         return None
-    delta = delta_witness(inf)
-    tt_checks = tuple(
-        (step, is_valid(tt_logic, step, atom_cap))
-        for step in (
-            Inference(inf.premises, d)
-            for d in sorted(delta, key=formula_key)
-        )
-    )
-    ss_step = Inference(delta, inf.conclusion)
-    witness = DerivationWitness(
-        delta=delta,
-        tt_checks=tt_checks,
-        ss_check=(ss_step, is_valid(ss_logic, ss_step, atom_cap)),
-        tt_logic=tt_logic,
-        ss_logic=ss_logic,
-    )
-    return witness
+    delta, tt_steps, ss_step = witness_steps(inf)
+    tt_checks = tuple((step, is_valid(tt_logic, step, atom_cap)) for step in tt_steps)
+    ss_check = (ss_step, is_valid(ss_logic, ss_step, atom_cap))
+    return DerivationWitness(delta, tt_checks, ss_check, tt_logic, ss_logic)
 
 
 def replay_witness(inf: Inference, witness: DerivationWitness) -> bool:
@@ -282,48 +278,43 @@ def union_gap_witness() -> Inference:
     return Inference((premise,), conclusion)
 
 
-def check_union_gap(ss_logic: LogicSpec, tt_logic: LogicSpec) -> Report:
-    """The witness inference separating the ss/tt union from classical
-    validity, plus the two incomparability witnesses."""
+def union_gap_facts(ss_logic: LogicSpec, tt_logic: LogicSpec) -> list[tuple[str, str, bool, str]]:
+    """``check_union_gap``'s checks in record order as (side, check, ok,
+    detail): side ``tt`` reads only ``tt_logic``, side ``ss`` only
+    ``ss_logic``'s scheme, or no scheme."""
     if ss_logic.standard != SS:
         raise ValueError("ss_logic must use the strict-strict standard")
     if tt_logic.standard != TT:
         raise ValueError("tt_logic must use the tolerant-tolerant standard")
-    report = Report(f"union-gap[{ss_logic} & {tt_logic}]")
     witness = union_gap_witness()
-    report.record("witness-classical", is_classically_valid(witness), str(witness))
-    report.record("witness-ss-invalid", not is_valid(ss_logic, witness), str(witness))
-    report.record("witness-tt-invalid", not is_valid(tt_logic, witness), str(witness))
-
     v_ss = Valuation.of({"p": TruthValue.T, "q": TruthValue.F, "r": TruthValue.I})
     v_tt = Valuation.of({"p": TruthValue.F, "q": TruthValue.I, "r": TruthValue.F})
-    report.record(
-        "ss-countervaluation",
-        not satisfies_inference(ss_logic.scheme, v_ss, witness, SS),
-        f"{v_ss} should falsify strictly",
-    )
-    report.record(
-        "tt-countervaluation",
-        not satisfies_inference(tt_logic.scheme, v_tt, witness, TT),
-        f"{v_tt} should falsify tolerantly",
-    )
-
     p, r = Var("p"), Var("r")
     explosion = Inference((And(p, Neg(p)),), r)
-    excluded_middle = Inference((), Or(p, Neg(p)))
-    report.record("explosion-ss-valid", is_valid(ss_logic, explosion), str(explosion))
-    report.record("explosion-tt-invalid", not is_valid(tt_logic, explosion), str(explosion))
-    report.record(
-        "excluded-middle-tt-valid", is_valid(tt_logic, excluded_middle), str(excluded_middle)
-    )
-    report.record(
-        "excluded-middle-ss-invalid",
-        not is_valid(ss_logic, excluded_middle),
-        str(excluded_middle),
-    )
+    middle = Inference((), Or(p, Neg(p)))
+    ss, tt, ts = ss_logic, tt_logic, LogicSpec(ss_logic.scheme, TS)
+    return [
+        ("ss", "witness-classical", is_classically_valid(witness), str(witness)),
+        ("ss", "witness-ss-invalid", not is_valid(ss, witness), str(witness)),
+        ("tt", "witness-tt-invalid", not is_valid(tt, witness), str(witness)),
+        ("ss", "ss-countervaluation", not satisfies_inference(ss.scheme, v_ss, witness, SS),
+         f"{v_ss} should falsify strictly"),
+        ("tt", "tt-countervaluation", not satisfies_inference(tt.scheme, v_tt, witness, TT),
+         f"{v_tt} should falsify tolerantly"),
+        ("ss", "explosion-ss-valid", is_valid(ss, explosion), str(explosion)),
+        ("tt", "explosion-tt-invalid", not is_valid(tt, explosion), str(explosion)),
+        ("tt", "excluded-middle-tt-valid", is_valid(tt, middle), str(middle)),
+        ("ss", "excluded-middle-ss-invalid", not is_valid(ss, middle), str(middle)),
+        ("ss", "witness-ts-invalid", not is_valid(ts, witness), str(witness)),
+    ]
 
-    ts_logic = LogicSpec(ss_logic.scheme, TS)
-    report.record("witness-ts-invalid", not is_valid(ts_logic, witness), str(witness))
+
+def check_union_gap(ss_logic: LogicSpec, tt_logic: LogicSpec) -> Report:
+    """The witness inference separating the ss/tt union from classical
+    validity, plus the two incomparability witnesses."""
+    report = Report(f"union-gap[{ss_logic} & {tt_logic}]")
+    for _, check, ok, detail in union_gap_facts(ss_logic, tt_logic):
+        report.record(check, ok, detail)
     return report
 
 

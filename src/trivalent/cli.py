@@ -42,7 +42,7 @@ from .semantics import (
     SS,
     TT,
     Valuation,
-    find_countervaluation,
+    countervaluations,
     parse_standard,
     satisfies_inference,
 )
@@ -85,11 +85,12 @@ def cmd_check(args) -> int:
         raise ValueError("empty standard selector")
     valuation = _parse_valuation(args.valuation) if args.valuation else None
 
+    if valuation is None:
+        counters = countervaluations(schemes, standards, inf, args.atom_cap)
     results = []
     all_valid = True
-    for scheme in schemes:
-        for standard in standards:
-            logic = LogicSpec(scheme, standard, allow_non_bnm=args.allow_non_bnm)
+    for s, scheme in enumerate(schemes):
+        for j, standard in enumerate(standards):
             entry: dict = {
                 "scheme": _scheme_name(scheme),
                 "standard": standard.name,
@@ -100,7 +101,7 @@ def cmd_check(args) -> int:
                 entry["satisfied"] = satisfied
                 all_valid &= satisfied
             else:
-                counter = find_countervaluation(logic, inf, args.atom_cap)
+                counter = counters[s][j]
                 valid = counter is None
                 entry["valid"] = valid
                 if not valid:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MissingAtomError, ResourceLimitError
 from .formula import And, Formula, Inference, Neg, Or, Var, atoms
@@ -228,26 +228,15 @@ def _check_atom_cap(names: Sequence[str], atom_cap: int) -> None:
 # --- vectorized evaluation over the whole valuation space -----------------
 #
 # The truth vector of a formula lists its value (as a byte 0/1/2) at every
-# valuation over a fixed atom tuple, in canonical order.  Connectives act
-# bytewise: negation is a translate, and the binary tables are looked up by
-# the pair code 3*left + right, computed carry-free by big-int addition.
+# valuation over a fixed atom tuple, in canonical order.  One evaluator
+# computes them for a stack of 1 to ``MAX_STACKED_SCHEMES`` schemes: a
+# stacked vector is the truth vectors end to end, block ``s`` under
+# ``schemes[s]``.  Adding ``3*s`` to block ``s`` of a negation's argument,
+# or ``9*s`` to block ``s`` of the carry-free pair code ``3*left + right``,
+# gives every block its own codes, so one 256-entry table per connective
+# applies each scheme's table to its own block.
 
-@lru_cache(maxsize=None)
-def _translate_unary(table: tuple) -> bytes:
-    return bytes(table[v] if v < 3 else 0 for v in range(256))
-
-
-@lru_cache(maxsize=None)
-def _translate_pair(table: tuple) -> bytes:
-    return bytes(table[v] if v < 9 else 0 for v in range(256))
-
-
-_TRIPLE = _translate_unary((0, 3, 6))
-
-
-def _combine(left: bytes, right: bytes, table: tuple) -> bytes:
-    paired = int.from_bytes(left.translate(_TRIPLE), "big") + int.from_bytes(right, "big")
-    return paired.to_bytes(len(left), "big").translate(_translate_pair(table))
+MAX_STACKED_SCHEMES = 256 // 9
 
 
 @lru_cache(maxsize=None)
@@ -258,31 +247,71 @@ def _var_vector(names: tuple[str, ...], name: str) -> bytes:
     return cycle * (3 ** position)
 
 
+def _stacked_tables(schemes: Sequence[Scheme]) -> tuple[bytes, bytes, bytes]:
+    """Negation, conjunction and disjunction tables over the block codes."""
+    neg, conj, disj = bytearray(256), bytearray(256), bytearray(256)
+    for s, scheme in enumerate(schemes):
+        neg[3 * s:3 * s + 3] = scheme.neg_table
+        conj[9 * s:9 * s + 9] = scheme.conj_table
+        disj[9 * s:9 * s + 9] = scheme.disj_table
+    return bytes(neg), bytes(conj), bytes(disj)
+
+
+def stacked_vectors(
+    schemes: Sequence[Scheme],
+    pool: Sequence[Formula],
+    names: tuple[str, ...],
+    atom_cap: int = DEFAULT_ATOM_CAP,
+) -> list[bytes]:
+    """Per pool formula, its truth vectors over ``names`` under each scheme
+    end to end: bytes ``[s*3**n, (s+1)*3**n)`` hold its values under
+    ``schemes[s]``.  Raises on more than ``MAX_STACKED_SCHEMES`` schemes or
+    above ``atom_cap`` atoms before anything is built."""
+    k = len(schemes)
+    if not 1 <= k <= MAX_STACKED_SCHEMES:
+        raise ValueError(f"a stack holds 1 to {MAX_STACKED_SCHEMES} schemes, not {k}")
+    _check_atom_cap(names, atom_cap)
+    size = valuation_count(names)
+    length = k * size
+    neg, conj, disj = _stacked_tables(schemes)
+    neg_offsets = int.from_bytes(b"".join(bytes((3 * s,)) * size for s in range(k)), "big")
+    pair_offsets = 3 * neg_offsets
+    # Post-order over the distinct subformulas: a node is pushed once to
+    # expand it and once more, under its children, to evaluate it.
+    memo: dict[Formula, bytes] = {}
+    stack = [(f, False) for f in reversed(pool)]
+    while stack:
+        f, expanded = stack.pop()
+        if f in memo:
+            continue
+        if isinstance(f, Var):
+            if f.name not in names:
+                raise MissingAtomError(f.name)
+            memo[f] = _var_vector(names, f.name) * k
+        elif not expanded:
+            stack.append((f, True))
+            if isinstance(f, Neg):
+                stack.append((f.child, False))
+            else:
+                stack += ((f.right, False), (f.left, False))
+        elif isinstance(f, Neg):
+            code = int.from_bytes(memo[f.child], "big") + neg_offsets
+            memo[f] = code.to_bytes(length, "big").translate(neg)
+        else:
+            code = (
+                3 * int.from_bytes(memo[f.left], "big")
+                + int.from_bytes(memo[f.right], "big")
+                + pair_offsets
+            )
+            memo[f] = code.to_bytes(length, "big").translate(conj if isinstance(f, And) else disj)
+    return [memo[f] for f in pool]
+
+
 @lru_cache(maxsize=None)
 def truth_vector(scheme: Scheme, f: Formula, names: tuple[str, ...]) -> bytes:
-    """Values of ``f`` at every valuation over ``names`` in canonical order."""
-    if isinstance(f, Var):
-        if f.name not in names:
-            raise MissingAtomError(f.name)
-        return _var_vector(names, f.name)
-    if isinstance(f, Neg):
-        return truth_vector(scheme, f.child, names).translate(
-            _translate_unary(scheme.neg_table)
-        )
-    table = scheme.conj_table if isinstance(f, And) else scheme.disj_table
-    return _combine(
-        truth_vector(scheme, f.left, names),
-        truth_vector(scheme, f.right, names),
-        table,
-    )
-
-
-@lru_cache(maxsize=None)
-def _accept_table(standard: FormulaStandard) -> bytes:
-    return bytes(1 if v < 3 and TruthValue(v) in standard.allowed else 0 for v in range(256))
-
-
-_FLIP01 = bytes(1 - v if v < 2 else 0 for v in range(256))
+    """``f``'s truth vector over ``names``, a stack of one.  The package never
+    calls it: it and its cache stay for outside callers of ``cache_info()``."""
+    return stacked_vectors((scheme,), (f,), names)[0]
 
 
 # --- accept masks ----------------------------------------------------------
@@ -290,14 +319,36 @@ _FLIP01 = bytes(1 - v if v < 2 else 0 for v in range(256))
 # A mask is an int with one byte per valuation over an atom tuple, in
 # canonical order (valuation 0 is the most significant byte): the byte is 1
 # where the formula meets a formula-standard.  Every decider reads its
-# verdict off these masks.  By truth-functionality a verdict read over a
+# verdict off these masks, every validity verdict through
+# ``_violation_masks``.  By truth-functionality a verdict read over a
 # superset of an inference's atoms equals the verdict over its own atoms,
 # so many inferences over one formula pool are decided at once by
 # evaluating every pool formula once over the union of the pool's atoms.
 
+Row = tuple[tuple[int, ...], int]
+
+
+@lru_cache(maxsize=None)
+def _accept_table(standard: FormulaStandard, meets: bool = True) -> bytes:
+    """Byte ``v`` is 1 iff value ``v`` meets ``standard`` (fails it, if not ``meets``)."""
+    allowed = standard.allowed
+    return bytes(1 if v < 3 and (TruthValue(v) in allowed) == meets else 0 for v in range(256))
+
+
 def full_mask(size: int) -> int:
     """The mask holding every one of ``size`` valuations."""
     return (1 << (8 * size)) // 255
+
+
+def _mask(vector: bytes, table: bytes) -> int:
+    return int.from_bytes(vector.translate(table), "big")
+
+
+def _meets(vectors: Iterable[bytes], standard: FormulaStandard, meets: bool = True) -> list[int]:
+    """Per vector, the mask of the bytes whose value meets ``standard``
+    (fails it, if not ``meets``)."""
+    table = _accept_table(standard, meets)
+    return [_mask(v, table) for v in vectors]
 
 
 def accept_masks(
@@ -306,17 +357,12 @@ def accept_masks(
     names: tuple[str, ...],
     standard: FormulaStandard,
 ) -> list[int]:
-    """Per formula, the valuations over ``names`` where it meets ``standard``."""
-    accept = _accept_table(standard)
-    # A plain loop: single-inference deciders call this with one to four
-    # formulas, where a comprehension's own call costs a measurable share.
-    masks = []
-    for f in formulas:
-        masks.append(int.from_bytes(truth_vector(scheme, f, names).translate(accept), "big"))
-    return masks
+    """Per formula, the valuations over ``names`` where it meets ``standard``.
+    Raises above ``DEFAULT_ATOM_CAP`` atoms before anything is built."""
+    return _meets(stacked_vectors((scheme,), tuple(formulas), names), standard)
 
 
-def premise_mask(masks: Sequence[int], members: Iterable[int]) -> int:
+def premise_mask(masks: Sequence[int] | Mapping[int, int], members: Iterable[int]) -> int:
     """The AND of the members' masks; -1 (every bit) for no members, so
     the empty premise set is never an antitheorem."""
     out = -1
@@ -325,68 +371,87 @@ def premise_mask(masks: Sequence[int], members: Iterable[int]) -> int:
     return out
 
 
-def _violations(
-    logic: LogicSpec, premises: Iterable[Formula], conclusion: Formula, names: tuple[str, ...]
-) -> int:
-    """Mask of the valuations falsifying ``premises => conclusion``."""
-    accepts = accept_masks(logic.scheme, premises, names, logic.standard.premise)
-    (meets,) = accept_masks(logic.scheme, (conclusion,), names, logic.standard.conclusion)
-    rejects = full_mask(valuation_count(names)) ^ meets
-    return premise_mask(accepts, range(len(accepts))) & rejects
+def _violation_masks(
+    vectors: Sequence[bytes], rows: Sequence[Row], standard: Standard
+) -> list[int]:
+    """Per row, the bytes of the vectors where its inference fails under
+    ``standard``: every premise meets the premise standard and the
+    conclusion fails the conclusion standard.  Only the masks the rows
+    read are built."""
+    accept = _accept_table(standard.premise)
+    reject = _accept_table(standard.conclusion, False)
+    accepts = {i: _mask(vectors[i], accept) for i in {i for premises, _ in rows for i in premises}}
+    rejects = {c: _mask(vectors[c], reject) for c in {c for _, c in rows}}
+    return [premise_mask(accepts, premises) & rejects[c] for premises, c in rows]
+
+
+def countervaluations(
+    schemes: Sequence[Scheme],
+    standards: Sequence[Standard],
+    inf: Inference,
+    atom_cap: int = DEFAULT_ATOM_CAP,
+) -> list[list[Valuation | None]]:
+    """Per scheme, per standard, the canonically first valuation falsifying
+    the inference, or None: one pass over its own atoms per
+    ``MAX_STACKED_SCHEMES`` schemes."""
+    names = sorted_atom_tuple(inf)
+    pool, rows = pool_rows((inf,))
+    size = valuation_count(names)
+    out = []
+    for start in range(0, len(schemes), MAX_STACKED_SCHEMES):
+        stack = schemes[start:start + MAX_STACKED_SCHEMES]
+        vectors = stacked_vectors(stack, pool, names, atom_cap)
+        # A violation byte is 1, so the first one of block s, counted from
+        # the block's start, indexes the first falsifying valuation.
+        found = [
+            _violation_masks(vectors, rows, standard)[0].to_bytes(len(stack) * size, "big")
+            for standard in standards
+        ]
+        for s in range(len(stack)):
+            firsts = (violations.find(1, s * size, (s + 1) * size) for violations in found)
+            out.append([None if i < 0 else valuation_at(names, i - s * size) for i in firsts])
+    return out
 
 
 def is_valid(logic: LogicSpec, inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Validity decided over all valuations of the inference's own atoms."""
-    names = sorted_atom_tuple(inf)
-    _check_atom_cap(names, atom_cap)
-    return _violations(logic, inf.premises, inf.conclusion, names) == 0
+    return countervaluations((logic.scheme,), (logic.standard,), inf, atom_cap) == [[None]]
 
 
 def find_countervaluation(
     logic: LogicSpec, inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> Valuation | None:
     """The canonically first valuation falsifying the inference, if any."""
-    names = sorted_atom_tuple(inf)
-    _check_atom_cap(names, atom_cap)
-    violations = _violations(logic, inf.premises, inf.conclusion, names)
-    if violations == 0:
-        return None
-    # Valuation 0 is the most significant byte, so the first violation is
-    # the byte holding the highest set bit.
-    index = valuation_count(names) - 1 - (violations.bit_length() - 1) // 8
-    return valuation_at(names, index)
+    return countervaluations((logic.scheme,), (logic.standard,), inf, atom_cap)[0][0]
 
 
 def is_theorem(logic: LogicSpec, f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Does the formula meet the conclusion standard under every valuation?
     (Validity of ``=> f``.)"""
-    names = sorted_atom_tuple(f)
-    _check_atom_cap(names, atom_cap)
-    return _violations(logic, (), f, names) == 0
+    inf = Inference((), f)
+    return countervaluations((logic.scheme,), (logic.standard,), inf, atom_cap) == [[None]]
 
 
 def is_antitheorem(
     logic: LogicSpec, gamma: Iterable[Formula], atom_cap: int = DEFAULT_ATOM_CAP
 ) -> bool:
     """Does every valuation drop some member below the premise standard?"""
-    members = list(gamma)
+    members = tuple(gamma)
     names = sorted_atom_tuple(n for g in members for n in atoms(g))
-    _check_atom_cap(names, atom_cap)
-    accepts = accept_masks(logic.scheme, members, names, logic.standard.premise)
-    return premise_mask(accepts, range(len(accepts))) == 0
+    vectors = stacked_vectors((logic.scheme,), members, names, atom_cap)
+    return premise_mask(_meets(vectors, logic.standard.premise), range(len(members))) == 0
 
 
 def formula_masks(
     logic: LogicSpec, formulas: Sequence[Formula], names: tuple[str, ...]
 ) -> tuple[list[int], list[int]]:
     """Per formula, the valuations over ``names`` where it meets the premise
-    standard, and those where it fails the conclusion standard.  Raises
-    above ``DEFAULT_ATOM_CAP`` atoms before anything is built."""
-    _check_atom_cap(names, DEFAULT_ATOM_CAP)
-    full = full_mask(valuation_count(names))
-    accepts = accept_masks(logic.scheme, formulas, names, logic.standard.premise)
-    meets = accept_masks(logic.scheme, formulas, names, logic.standard.conclusion)
-    return accepts, [full ^ mask for mask in meets]
+    standard, and those where it fails the conclusion standard, both read
+    off one evaluation.  Raises above ``DEFAULT_ATOM_CAP`` atoms before
+    anything is built."""
+    vectors = stacked_vectors((logic.scheme,), formulas, names)
+    standard = logic.standard
+    return _meets(vectors, standard.premise), _meets(vectors, standard.conclusion, False)
 
 
 def classical_masks(formulas: Sequence[Formula], names: tuple[str, ...]) -> list[int]:
@@ -397,6 +462,9 @@ def classical_masks(formulas: Sequence[Formula], names: tuple[str, ...]) -> list
 
 
 # --- classical (two-valued) validity --------------------------------------
+
+_FLIP01 = bytes(1 - v if v < 2 else 0 for v in range(256))
+
 
 @lru_cache(maxsize=None)
 def _bool_var_vector(names: tuple[str, ...], name: str) -> bytes:
@@ -436,17 +504,8 @@ def is_classically_valid(inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bo
 # --- pools: many inferences under many schemes in one pass ----------------
 #
 # A corpus is decided as a pool: its distinct formulas, each evaluated once
-# over the union of their atoms, and each inference as a row of pool
-# indices.  The stacked evaluator runs up to ``MAX_STACKED_SCHEMES`` schemes
-# at once: a formula's stacked vector is its truth vectors end to end, block
-# ``s`` under ``schemes[s]``.  Adding ``3*s`` to block ``s`` of a negation's
-# argument, or ``9*s`` to block ``s`` of a carry-free pair code
-# ``3*left + right``, gives every block its own codes, so one 256-entry
-# table applies each scheme's table to its own block.
-
-Row = tuple[tuple[int, ...], int]
-
-MAX_STACKED_SCHEMES = 256 // 9
+# over the union of their atoms with every scheme stacked, and each
+# inference as a row of pool indices.
 
 
 def pool_rows(inferences: Iterable[Inference]) -> tuple[tuple[Formula, ...], list[Row]]:
@@ -458,73 +517,6 @@ def pool_rows(inferences: Iterable[Inference]) -> tuple[tuple[Formula, ...], lis
         premises = tuple(index.setdefault(g, len(index)) for g in inf.premises)
         rows.append((premises, index.setdefault(inf.conclusion, len(index))))
     return tuple(index), rows
-
-
-def _stacked_tables(schemes: Sequence[Scheme]) -> tuple[bytes, bytes, bytes]:
-    """Negation, conjunction and disjunction tables over the block codes."""
-    neg, conj, disj = bytearray(256), bytearray(256), bytearray(256)
-    for s, scheme in enumerate(schemes):
-        neg[3 * s:3 * s + 3] = scheme.neg_table
-        conj[9 * s:9 * s + 9] = scheme.conj_table
-        disj[9 * s:9 * s + 9] = scheme.disj_table
-    return bytes(neg), bytes(conj), bytes(disj)
-
-
-def stacked_vectors(
-    schemes: Sequence[Scheme], pool: Sequence[Formula], names: tuple[str, ...]
-) -> list[bytes]:
-    """Per pool formula, its truth vectors over ``names`` under each scheme
-    end to end: bytes ``[s*3**n, (s+1)*3**n)`` equal
-    ``truth_vector(schemes[s], f, names)``.  Raises on more than
-    ``MAX_STACKED_SCHEMES`` schemes or above ``DEFAULT_ATOM_CAP`` atoms
-    before anything is built."""
-    k = len(schemes)
-    if not 1 <= k <= MAX_STACKED_SCHEMES:
-        raise ValueError(f"a stack holds 1 to {MAX_STACKED_SCHEMES} schemes, not {k}")
-    _check_atom_cap(names, DEFAULT_ATOM_CAP)
-    size = valuation_count(names)
-    length = k * size
-    neg, conj, disj = _stacked_tables(schemes)
-    neg_offsets = int.from_bytes(b"".join(bytes((3 * s,)) * size for s in range(k)), "big")
-    pair_offsets = 3 * neg_offsets
-    # Post-order over the distinct subformulas: a node is pushed once to
-    # expand it and once more, under its children, to evaluate it.
-    memo: dict[Formula, bytes] = {}
-    stack = [(f, False) for f in reversed(pool)]
-    while stack:
-        f, expanded = stack.pop()
-        if f in memo:
-            continue
-        if isinstance(f, Var):
-            if f.name not in names:
-                raise MissingAtomError(f.name)
-            memo[f] = _var_vector(names, f.name) * k
-        elif not expanded:
-            stack.append((f, True))
-            if isinstance(f, Neg):
-                stack.append((f.child, False))
-            else:
-                stack += ((f.right, False), (f.left, False))
-        elif isinstance(f, Neg):
-            code = int.from_bytes(memo[f.child], "big") + neg_offsets
-            memo[f] = code.to_bytes(length, "big").translate(neg)
-        else:
-            code = (
-                3 * int.from_bytes(memo[f.left], "big")
-                + int.from_bytes(memo[f.right], "big")
-                + pair_offsets
-            )
-            memo[f] = code.to_bytes(length, "big").translate(conj if isinstance(f, And) else disj)
-    return [memo[f] for f in pool]
-
-
-def _clear_blocks(violations: int, blocks: Sequence[int]) -> int:
-    """Bit ``s`` set iff ``violations`` meets no bit of ``blocks[s]``."""
-    bits = 0
-    for s, block in enumerate(blocks):
-        if not violations & block:
-            bits |= 1 << s
-    return bits
 
 
 def verdict_masks(
@@ -539,21 +531,17 @@ def verdict_masks(
     evaluated once, stacked, over ``names`` (any superset of its atoms)."""
     vectors = stacked_vectors(schemes, pool, names)
     k, size = len(schemes), valuation_count(names)
-    full = full_mask(k * size)
     # Block s's mask in place: k*(k+1)/2 blocks of bytes in all, a few
     # stacked vectors' worth, bought back by one AND per block and row.
+    # Bit s of a verdict is set iff the row's violations miss block s.
     blocks = [((1 << (8 * size)) - 1) << (8 * size * (k - 1 - s)) for s in range(k)]
-    out = []
-    for standard in standards:
-        accept = _accept_table(standard.premise)
-        meet = _accept_table(standard.conclusion)
-        accepts = [int.from_bytes(v.translate(accept), "big") for v in vectors]
-        rejects = [full ^ int.from_bytes(v.translate(meet), "big") for v in vectors]
-        out.append([
-            _clear_blocks(premise_mask(accepts, premises) & rejects[c], blocks)
-            for premises, c in rows
-        ])
-    return out
+    return [
+        [
+            sum(1 << s for s, block in enumerate(blocks) if not violations & block)
+            for violations in _violation_masks(vectors, rows, standard)
+        ]
+        for standard in standards
+    ]
 
 
 def classical_verdicts(

@@ -31,7 +31,9 @@ selections see the same draws as a full run.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -46,14 +48,16 @@ from .closure import (
     universe_inferences,
 )
 from .characterize import (
+    DerivationWitness,
     LatticeFamily,
     check_td_equals_star,
     check_ts_collapse,
-    check_union_gap,
     derive_classical,
     replay_witness,
+    union_gap_facts,
     valid_subset,
     verify_lattices,
+    witness_steps,
 )
 from .formula import (
     And,
@@ -92,7 +96,6 @@ from .semantics import (
     classical_verdicts,
     eval_formula,
     is_antitheorem,
-    is_classically_valid,
     is_theorem,
     is_valid,
     pool_rows,
@@ -364,12 +367,15 @@ def claim_theorem2(ctx: VerificationContext) -> Report:
 def claim_theorem3(ctx: VerificationContext) -> Report:
     report = Report("theorem3")
     pair_count = len(ctx.pair_schemes) ** 2
-    for ss_scheme in ctx.pair_schemes:
-        for tt_scheme in ctx.pair_schemes:
-            gap = check_union_gap(ctx.logic(ss_scheme, SS), ctx.logic(tt_scheme, TT))
-            if not gap.passed:
-                for finding in gap.failures:
-                    report.record("union-gap", False, f"{ss_scheme}/{tt_scheme}: {finding}")
+    # Each union-gap fact reads one side's scheme only: decide the facts once
+    # per scheme, and give a pair its ss scheme's ss side and tt scheme's tt side.
+    facts = [union_gap_facts(ctx.logic(s, SS), ctx.logic(s, TT)) for s in ctx.pair_schemes]
+    for ss_scheme, ss_facts in zip(ctx.pair_schemes, facts):
+        for tt_scheme, tt_facts in zip(ctx.pair_schemes, facts):
+            for ss_fact, tt_fact in zip(ss_facts, tt_facts):
+                _, check, ok, detail = tt_fact if ss_fact[0] == "tt" else ss_fact
+                if not ok:
+                    report.record("union-gap", False, f"{ss_scheme}/{tt_scheme}: {check}: {detail}")
     report.record("union-gap-all-pairs", report.passed, f"{pair_count} scheme pairs")
 
     # A classical inference separates every pair of an ss scheme and a tt
@@ -405,37 +411,45 @@ def claim_theorem3(ctx: VerificationContext) -> Report:
     return report
 
 
+def _decided_witnesses(
+    ctx: VerificationContext, inferences: Sequence[Inference], schemes: Sequence[Scheme]
+) -> list[tuple[DerivationWitness, int, int]]:
+    """Per classically valid inference, its witness as ``derive_classical``
+    builds it under ``schemes[0]``, and the masks of the schemes under which
+    all its tt steps, and its ss step, hold: every step decided in one pool."""
+    built = [witness_steps(inf) for inf in inferences]
+    pool, rows = pool_rows(step for _, tt_steps, ss_step in built for step in (*tt_steps, ss_step))
+    tt_masks, ss_masks = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (TT, SS))
+    logics = ctx.logic(schemes[0], TT), ctx.logic(schemes[0], SS)
+    every = (1 << len(schemes)) - 1
+    out, end = [], 0
+    for delta, tt_steps, ss_step in built:
+        start, end = end, end + len(tt_steps) + 1
+        tt, ss = tt_masks[start:end - 1], ss_masks[end - 1]
+        checks = tuple((step, bool(mask & 1)) for step, mask in zip(tt_steps, tt))
+        witness = DerivationWitness(delta, checks, (ss_step, bool(ss & 1)), *logics)
+        out.append((witness, functools.reduce(operator.and_, tt, every), ss))
+    return out
+
+
 def claim_theorem4(ctx: VerificationContext) -> Report:
     report = Report("theorem4")
+    pool, rows = pool_rows(ctx.corpus_b)
+    classical = classical_verdicts(pool, rows, CORPUS_ATOMS)
 
-    reduced_valid = [inf for inf in ctx.reduced if is_classically_valid(inf)]
+    reduced_valid = [inf for inf, valid in zip(ctx.reduced, classical) if valid]
     report.notes["reduced classically valid"] = len(reduced_valid)
     pair_count = len(ctx.pair_schemes) ** 2
     pair_failures = 0
     # The witness's steps do not depend on the schemes: build and replay it
-    # once, then decide every witness's tt steps and ss step under each
-    # scheme as one pool.
+    # once, and decide every witness's steps under each scheme as one pool.
     schemes = ctx.pair_schemes
-    first = schemes[0]
-    witnesses = []
-    for inf in reduced_valid:
-        witness = derive_classical(inf, ctx.logic(first, TT), ctx.logic(first, SS))
-        sound = witness is not None and replay_witness(inf, witness)
-        witnesses.append(witness if sound else None)
-    steps = [
-        step for witness in witnesses if witness is not None for step in witness.step_inferences()
-    ]
-    pool, rows = pool_rows(steps)
-    tt_masks, ss_masks = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (TT, SS))
-    verdicts = iter(zip(tt_masks, ss_masks))
     every = (1 << len(schemes)) - 1
-    for inf, witness in zip(reduced_valid, witnesses):
-        tt_ok = ss_ok = 0
-        if witness is not None:
-            tt_ok = every
-            for _ in witness.tt_checks:
-                tt_ok &= next(verdicts)[0]
-            ss_ok = next(verdicts)[1]
+    for inf, (witness, tt_ok, ss_ok) in zip(
+        reduced_valid, _decided_witnesses(ctx, reduced_valid, schemes)
+    ):
+        if not replay_witness(inf, witness):
+            tt_ok = ss_ok = 0
         if tt_ok == ss_ok == every:
             continue
         for (i, tt_scheme), (j, ss_scheme) in itertools.product(enumerate(schemes), repeat=2):
@@ -450,21 +464,21 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
 
     strong_tt = ctx.logic(ctx.strong, TT)
     strong_ss = ctx.logic(ctx.strong, SS)
+    full_valid = [inf for inf, valid in zip(ctx.corpus_b, classical) if valid]
+    decided = iter(_decided_witnesses(ctx, full_valid, (ctx.strong,)))
     full_failures = 0
-    full_valid = 0
-    for inf in ctx.corpus_b:
-        if not is_classically_valid(inf):
+    for inf, valid in zip(ctx.corpus_b, classical):
+        if not valid:
             if derive_classical(inf, strong_tt, strong_ss) is not None:
                 full_failures += 1
                 report.record("derivation-rejects-invalid", False, str(inf))
             continue
-        full_valid += 1
-        witness = derive_classical(inf, strong_tt, strong_ss)
-        if witness is None or not witness.all_passed or not replay_witness(inf, witness):
+        witness, _, _ = next(decided)
+        if not witness.all_passed or not replay_witness(inf, witness):
             full_failures += 1
             report.record("two-step-derivation-full", False, str(inf))
     report.record(
-        "two-step-derivation-full-corpus", full_failures == 0, f"{full_valid} valid inferences"
+        "two-step-derivation-full-corpus", full_failures == 0, f"{len(full_valid)} valid inferences"
     )
 
     u = ctx.micro1

@@ -152,6 +152,68 @@ def test_check_all_schemes(capsys):
     assert len(payload["results"]) == 16
 
 
+def test_check_splits_more_schemes_than_one_stack_holds(capsys):
+    """``all,all`` names 32 schemes, more than the 28 one stacked pass
+    holds; every verdict and countervaluation is the one ``all`` gives."""
+    inference = "p | (q & ~q) => p & (r | ~r)"
+    check = ("check", "--standard", "ss,tt,st,ts", inference)
+    code, once, _ = run_json(capsys, *check, "--scheme", "all")
+    assert code == 1 and any("countervaluation" in entry for entry in once["results"])
+    assert run_json(capsys, *check, "--scheme", "all,all") == (1, {
+        "inference": once["inference"], "results": once["results"] * 2,
+    }, "")
+    code, once, _ = run(capsys, *check, "--scheme", "all", "--format", "text")
+    header, *lines = once.splitlines()
+    assert run(capsys, *check, "--scheme", "all,all", "--format", "text") == (
+        code, "\n".join([header, *lines, *lines]) + "\n", ""
+    )
+    wide = "=> " + " | ".join(f"x{i}" for i in range(13))
+    code, out, err = run(capsys, "check", "--scheme", "all,all", wide)
+    assert code == 2 and out == "" and "above the cap of 12" in err
+
+
+def test_check_custom_scheme_needs_the_flag(capsys, tmp_path):
+    """A non-monotonic scheme from a file is refused without
+    ``--allow-non-bnm`` and decided in its own block with it."""
+    bad = tmp_path / "bad.scheme"
+    bad.write_text(
+        scheme_to_text(preset("strong")).replace("and(i,1) = i", "and(i,1) = 1"),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "check", "--scheme", str(bad), "p => p")
+    assert code == 2 and out == "" and "not monotonic" in err
+    code, out, err = run(
+        capsys, "check", "--scheme", f"{bad},strong", "--standard", "ss,tt,st,ts",
+        "--allow-non-bnm", "q & p => p & ~q",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "q & p => p & ~q\n"
+        "  strong/ss: invalid  [p=1, q=i]\n"
+        "  strong/tt: invalid  [p=i, q=1]\n"
+        "  strong/st: invalid  [p=1, q=1]\n"
+        "  strong/ts: invalid  [p=i, q=i]\n"
+        "  strong/ss: invalid  [p=1, q=1]\n"
+        "  strong/tt: invalid  [p=i, q=1]\n"
+        "  strong/st: invalid  [p=1, q=1]\n"
+        "  strong/ts: invalid  [p=i, q=i]\n"
+    )
+
+
+def test_check_at_a_valuation_decides_nothing_else(capsys):
+    """``--valuation`` evaluates at that valuation only, under every named
+    scheme, and a valuation missing an atom is a usage error."""
+    code, payload, _ = run_json(
+        capsys, "check", "--scheme", "all,all", "--standard", "ss,ts",
+        "--valuation", "p=i,q=i", "p => q",
+    )
+    assert code == 1 and len(payload["results"]) == 64
+    assert [entry["satisfied"] for entry in payload["results"][:2]] == [True, False]
+    assert all(entry["valuation"] == {"p": "i", "q": "i"} for entry in payload["results"])
+    code, out, err = run(capsys, "check", "--valuation", "p=1", "p => q")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_repeated_calls_in_one_process(capsys):
     check = ("check", "--scheme", "all", "--standard", "ss,tt,st,ts", "p & q => ~r | p")
     first = run(capsys, *check)
@@ -276,8 +338,8 @@ def test_atom_cap_is_an_option_of_check_and_derive_only(capsys):
             code, _, err = run(capsys, *command, "--atom-cap", "13", wide)
             assert code == 1 and err == ""
     finally:
-        # The 13-atom vectors are large; keep them out of the rest of the run.
-        semantics.truth_vector.cache_clear()
+        # The 13-atom variable vectors are large, and ``_var_vector`` is the
+        # only cache that keeps them; keep them out of the rest of the run.
         semantics._var_vector.cache_clear()
     for command in ("verify", "schemes", "closure"):
         with pytest.raises(SystemExit) as exit_info:

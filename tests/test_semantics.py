@@ -24,6 +24,7 @@ from trivalent.semantics import (
     accept_masks,
     classical_masks,
     classical_verdicts,
+    countervaluations,
     eval_formula,
     find_countervaluation,
     formula_masks,
@@ -366,6 +367,12 @@ def shared_pools(draw):
     return pool, names
 
 
+def scanned_vector(scheme, f, names):
+    """Oracle: ``f``'s values over ``names``, one ``eval_formula`` call per
+    valuation in canonical order."""
+    return bytes(eval_formula(scheme, v, f) for v in all_valuations(names))
+
+
 @settings(max_examples=80, deadline=None)
 @given(scheme_stacks, shared_pools())
 def test_stacked_vectors_are_per_scheme_truth_vectors(schemes, pool_and_names):
@@ -376,7 +383,7 @@ def test_stacked_vectors_are_per_scheme_truth_vectors(schemes, pool_and_names):
     for f, vector in zip(pool, vectors):
         assert len(vector) == len(schemes) * size
         for s, scheme in enumerate(schemes):
-            assert vector[s * size:(s + 1) * size] == truth_vector(scheme, f, names)
+            assert vector[s * size:(s + 1) * size] == scanned_vector(scheme, f, names)
 
 
 @settings(max_examples=80, deadline=None)
@@ -434,4 +441,34 @@ def test_a_full_stack_fits_one_byte():
     schemes = [*enumerate_bnm_schemes(), *enumerate_bnm_schemes()[:12]]
     f = parse("~(p & q) | (q | ~p)")
     (vector,) = stacked_vectors(schemes, [f], ("p", "q"))
-    assert vector == b"".join(truth_vector(scheme, f, ("p", "q")) for scheme in schemes)
+    assert vector == b"".join(scanned_vector(scheme, f, ("p", "q")) for scheme in schemes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.one_of(bnm_schemes, any_schemes), min_size=1, max_size=2 * MAX_STACKED_SCHEMES + 3),
+    st.lists(any_standard, min_size=1, max_size=3),
+    inferences(),
+)
+def test_countervaluations_are_the_first_falsifying_valuations(schemes, standards, inf):
+    """Every (scheme, standard) pair, also past one stack's worth of
+    schemes, against a scan of the valuations in canonical order."""
+    found = countervaluations(schemes, standards, inf)
+    assert len(found) == len(schemes)
+    for scheme, row in zip(schemes, found):
+        assert row == [
+            next(
+                (v for v in all_valuations(atoms(inf))
+                 if not satisfies_inference(scheme, v, inf, standard)),
+                None,
+            )
+            for standard in standards
+        ]
+
+
+def test_truth_vector_is_a_stack_of_one(strong):
+    """Kept for outside callers; it reads the stacked kernel."""
+    f = parse("~(p & q) | r")
+    names = ("p", "q", "r")
+    assert truth_vector(strong, f, names) == stacked_vectors([strong], [f], names)[0]
+    assert truth_vector(strong, f, names) == scanned_vector(strong, f, names)

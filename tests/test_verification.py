@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from trivalent import characterize, verification
-from trivalent.characterize import derive_classical, replay_witness
+from trivalent import characterize, semantics, verification
+from trivalent.characterize import check_union_gap, derive_classical, replay_witness
 from trivalent.scheme import F, I, T, Scheme, preset
 from trivalent.semantics import (
     SS,
@@ -150,9 +150,10 @@ def test_theorem4_fails_every_pair_when_the_replay_fails(monkeypatch):
 
 
 def _context_with(*schemes):
-    """A small context whose schemes the claims stack, in this order."""
+    """A small context whose schemes, and scheme pairs, the claims stack,
+    in this order."""
     ctx = VerificationContext(SMALL)
-    ctx.schemes = schemes
+    ctx.schemes = ctx.pair_schemes = schemes
     return ctx
 
 
@@ -199,3 +200,27 @@ def test_theorem2_reads_the_all_middle_witness_per_scheme():
     )
     report = CLAIMS["theorem2"](ctx)
     assert [str(f) for f in report.failures[:-1]] == expected
+
+
+def test_theorem3_takes_each_side_of_a_pair_from_its_own_scheme(monkeypatch):
+    """A negation sending i to 0 breaks the tt-side union-gap facts, one
+    sending i to 1 the ss-side ones.  theorem3 decides the facts once per
+    scheme; each pair must still report what ``check_union_gap`` reports
+    for it, in its record order."""
+    monkeypatch.setattr(semantics, "is_bnm", lambda scheme: True)
+    strong = preset("strong")
+    tt_broken = Scheme((T, F, F), strong.conj_table, strong.disj_table, "tt-broken")
+    ss_broken = Scheme((T, T, F), strong.conj_table, strong.disj_table, "ss-broken")
+    ctx = _context_with(strong, tt_broken, ss_broken)
+    expected = [
+        f"union-gap: {ss}/{tt}: {finding}"
+        for ss, tt in itertools.product(ctx.pair_schemes, repeat=2)
+        for finding in check_union_gap(ctx.logic(ss, SS), ctx.logic(tt, TT)).failures
+    ]
+    mixed = [line for line in expected if line.startswith(f"union-gap: {ss_broken}/{tt_broken}:")]
+    assert [line.split(": ")[2] for line in mixed] == [
+        "witness-ss-invalid", "witness-tt-invalid", "ss-countervaluation",
+        "tt-countervaluation", "explosion-tt-invalid", "excluded-middle-ss-invalid",
+    ]
+    report = CLAIMS["theorem3"](ctx)
+    assert [str(f) for f in report.failures if f.check == "union-gap"] == expected
