@@ -58,7 +58,7 @@ class Neg:
         return self._hash
 
     def __str__(self) -> str:
-        return "~" + _render(self.child, _PREC_NEG)
+        return _text(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +74,7 @@ class And:
         return self._hash
 
     def __str__(self) -> str:
-        return _render(self.left, _PREC_AND) + " & " + _render(self.right, _PREC_AND + 1)
+        return _text(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,31 +90,40 @@ class Or:
         return self._hash
 
     def __str__(self) -> str:
-        return _render(self.left, _PREC_OR) + " | " + _render(self.right, _PREC_OR + 1)
+        return _text(self)
 
 
 Formula = Union[Var, Neg, And, Or]
 
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_NEG = 3
+# Binding strength, tightest highest: an operand is parenthesized when it
+# binds more loosely than its place asks for.
+_STRENGTH = {Or: 1, And: 2, Neg: 3, Var: 4}
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Neg):
-        return _PREC_NEG
-    return 4
-
-
-def _render(f: Formula, context: int) -> str:
-    text = str(f)
-    if _prec(f) < context:
-        return "(" + text + ")"
-    return text
+def _text(f: Formula) -> str:
+    """``f`` in minimal-parenthesis form, from an explicit stack of text pieces
+    and of formulas with the strength their place asks for: no recursion."""
+    pieces: list[str] = []
+    stack: list[tuple[Formula, int] | str] = [(f, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        g, context = item
+        kind = type(g)
+        strength = _STRENGTH[kind]
+        if strength < context:
+            pieces.append("(")
+            stack.append(")")
+        if kind is Var:
+            pieces.append(g.name)
+        elif kind is Neg:
+            pieces.append("~")
+            stack.append((g.child, strength))
+        else:
+            stack += ((g.right, strength + 1), " & " if kind is And else " | ", (g.left, strength))
+    return "".join(pieces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +179,27 @@ def atoms(x: Formula | Inference) -> frozenset[str]:
             stack.append(f.left)
             stack.append(f.right)
     return frozenset(found)
+
+
+def subformulas(roots: Iterable[Formula]) -> list[Formula]:
+    """The distinct subformulas of ``roots``, each listed after its children.
+    Post-order with an explicit stack: a node is pushed once to expand it
+    and once more, under its children, to list it."""
+    listed: dict[Formula, None] = {}
+    stack = [(f, False) for f in reversed(list(roots))]
+    while stack:
+        f, expanded = stack.pop()
+        if f in listed:
+            continue
+        if expanded or isinstance(f, Var):
+            listed[f] = None
+            continue
+        stack.append((f, True))
+        if isinstance(f, Neg):
+            stack.append((f.child, False))
+        else:
+            stack += ((f.right, False), (f.left, False))
+    return list(listed)
 
 
 def depth(f: Formula) -> int:
@@ -342,10 +372,11 @@ def enumerate_formulas(
     newest: list[Formula] = list(result)
     for d in range(max_depth):
         older = list(result)
+        fresh = set(newest)
         layer: list[Formula] = [Neg(f) for f in newest]
         for make in (And, Or):
             for f, g in itertools.product(older, older):
-                if max(depth(f), depth(g)) == d:
+                if f in fresh or g in fresh:
                     layer.append(make(f, g))
         if len(result) + len(layer) > max_count:
             raise ResourceLimitError(

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MissingAtomError, ResourceLimitError
-from .formula import And, Formula, Inference, Neg, Or, Var, atoms
+from .formula import And, Formula, Inference, Neg, Or, Var, atoms, subformulas
 from .scheme import I, Scheme, T, TruthValue, is_bnm
 
 DEFAULT_ATOM_CAP = 12
@@ -276,24 +276,12 @@ def stacked_vectors(
     neg, conj, disj = _stacked_tables(schemes)
     neg_offsets = int.from_bytes(b"".join(bytes((3 * s,)) * size for s in range(k)), "big")
     pair_offsets = 3 * neg_offsets
-    # Post-order over the distinct subformulas: a node is pushed once to
-    # expand it and once more, under its children, to evaluate it.
     memo: dict[Formula, bytes] = {}
-    stack = [(f, False) for f in reversed(pool)]
-    while stack:
-        f, expanded = stack.pop()
-        if f in memo:
-            continue
+    for f in subformulas(pool):
         if isinstance(f, Var):
             if f.name not in names:
                 raise MissingAtomError(f.name)
             memo[f] = _var_vector(names, f.name) * k
-        elif not expanded:
-            stack.append((f, True))
-            if isinstance(f, Neg):
-                stack.append((f.child, False))
-            else:
-                stack += ((f.right, False), (f.left, False))
         elif isinstance(f, Neg):
             code = int.from_bytes(memo[f.child], "big") + neg_offsets
             memo[f] = code.to_bytes(length, "big").translate(neg)
@@ -349,17 +337,6 @@ def _meets(vectors: Iterable[bytes], standard: FormulaStandard, meets: bool = Tr
     (fails it, if not ``meets``)."""
     table = _accept_table(standard, meets)
     return [_mask(v, table) for v in vectors]
-
-
-def accept_masks(
-    scheme: Scheme,
-    formulas: Iterable[Formula],
-    names: tuple[str, ...],
-    standard: FormulaStandard,
-) -> list[int]:
-    """Per formula, the valuations over ``names`` where it meets ``standard``.
-    Raises above ``DEFAULT_ATOM_CAP`` atoms before anything is built."""
-    return _meets(stacked_vectors((scheme,), tuple(formulas), names), standard)
 
 
 def premise_mask(masks: Sequence[int] | Mapping[int, int], members: Iterable[int]) -> int:
@@ -428,8 +405,7 @@ def find_countervaluation(
 def is_theorem(logic: LogicSpec, f: Formula, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Does the formula meet the conclusion standard under every valuation?
     (Validity of ``=> f``.)"""
-    inf = Inference((), f)
-    return countervaluations((logic.scheme,), (logic.standard,), inf, atom_cap) == [[None]]
+    return is_valid(logic, Inference((), f), atom_cap)
 
 
 def is_antitheorem(
@@ -454,49 +430,40 @@ def formula_masks(
     return _meets(vectors, standard.premise), _meets(vectors, standard.conclusion, False)
 
 
-def classical_masks(formulas: Sequence[Formula], names: tuple[str, ...]) -> list[int]:
-    """Per formula, the two-valued valuations over ``names`` making it true.
-    Raises above ``DEFAULT_ATOM_CAP`` atoms before anything is built."""
-    _check_atom_cap(names, DEFAULT_ATOM_CAP)
-    return [int.from_bytes(bool_vector(f, names), "big") for f in formulas]
-
-
 # --- classical (two-valued) validity --------------------------------------
 
-_FLIP01 = bytes(1 - v if v < 2 else 0 for v in range(256))
 
-
-@lru_cache(maxsize=None)
-def _bool_var_vector(names: tuple[str, ...], name: str) -> bytes:
-    position = names.index(name)
-    period = 2 ** (len(names) - 1 - position)
-    cycle = b"\x00" * period + b"\x01" * period
-    return cycle * (2 ** position)
-
-
-@lru_cache(maxsize=None)
-def bool_vector(f: Formula, names: tuple[str, ...]) -> bytes:
-    """Classical truth table of ``f`` (bytes 0/1) over two-valued valuations,
-    in canonical order (names sorted, False < True)."""
-    if isinstance(f, Var):
-        if f.name not in names:
-            raise MissingAtomError(f.name)
-        return _bool_var_vector(names, f.name)
-    if isinstance(f, Neg):
-        return bool_vector(f.child, names).translate(_FLIP01)
-    left = int.from_bytes(bool_vector(f.left, names), "big")
-    right = int.from_bytes(bool_vector(f.right, names), "big")
-    combined = (left & right) if isinstance(f, And) else (left | right)
-    return combined.to_bytes(2 ** len(names), "big")
+def classical_masks(
+    formulas: Sequence[Formula], names: tuple[str, ...], atom_cap: int = DEFAULT_ATOM_CAP
+) -> list[int]:
+    """Per formula, the two-valued valuations over ``names`` making it true,
+    one byte per valuation in canonical order (names sorted, False < True).
+    Plain Boolean operations over the subformula walk, with a memo for the
+    call only.  Raises above ``atom_cap`` atoms before anything is built."""
+    _check_atom_cap(names, atom_cap)
+    n = len(names)
+    full = full_mask(2 ** n)
+    memo: dict[Formula, int] = {}
+    for f in subformulas(formulas):
+        if isinstance(f, Var):
+            if f.name not in names:
+                raise MissingAtomError(f.name)
+            position = names.index(f.name)
+            period = 2 ** (n - 1 - position)
+            memo[f] = int.from_bytes((b"\x00" * period + b"\x01" * period) * 2 ** position, "big")
+        elif isinstance(f, Neg):
+            memo[f] = full ^ memo[f.child]
+        elif isinstance(f, And):
+            memo[f] = memo[f.left] & memo[f.right]
+        else:
+            memo[f] = memo[f.left] | memo[f.right]
+    return [memo[f] for f in formulas]
 
 
 def is_classically_valid(inf: Inference, atom_cap: int = DEFAULT_ATOM_CAP) -> bool:
     """Validity over all two-valued Boolean valuations."""
     names = sorted_atom_tuple(inf)
-    _check_atom_cap(names, atom_cap)
-    *truths, holds = (
-        int.from_bytes(bool_vector(f, names), "big") for f in (*inf.premises, inf.conclusion)
-    )
+    *truths, holds = classical_masks((*inf.premises, inf.conclusion), names, atom_cap)
     rejects = full_mask(2 ** len(names)) ^ holds
     return premise_mask(truths, range(len(truths))) & rejects == 0
 

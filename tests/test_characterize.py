@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import bnm_schemes, inferences, small_universes
+from conftest import bnm_schemes, classical_scan, inferences, small_universes
 from trivalent import characterize
 from trivalent.errors import ResourceLimitError
 from trivalent.formula import Inference, Var, atoms, parse, parse_inference
@@ -12,8 +12,6 @@ from trivalent.semantics import (
     ST,
     TS,
     TT,
-    bool_vector,
-    full_mask,
     is_antitheorem,
     is_classically_valid,
     is_theorem,
@@ -113,7 +111,7 @@ def reference_star_set(logics, u):
 
 
 def is_classical_tautology(f):
-    return all(b == 1 for b in bool_vector(f, sorted_atom_tuple(f)))
+    return all(classical_scan(f, sorted_atom_tuple(f)))
 
 
 def is_classically_unsatisfiable(gamma):
@@ -121,10 +119,7 @@ def is_classically_unsatisfiable(gamma):
     if not members:
         return False
     names = sorted_atom_tuple(n for g in members for n in atoms(g))
-    all_ok = full_mask(2 ** len(names))
-    for g in members:
-        all_ok &= int.from_bytes(bool_vector(g, names), "big")
-    return all_ok == 0
+    return not any(map(all, zip(*(classical_scan(g, names) for g in members))))
 
 
 def reference_classical_star_set(u):

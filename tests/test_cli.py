@@ -230,6 +230,20 @@ def test_check_deep_nesting_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_check_decides_a_deep_negation_chain(capsys):
+    text = "~" * 600 + "p => p"
+    code, payload, _ = run_json(
+        capsys, "check", "--scheme", "all", "--standard", "ss,tt,st,ts", text
+    )
+    assert code == 1
+    assert payload["inference"] == text
+    assert len(payload["results"]) == 64
+    for result in payload["results"]:
+        assert result["valid"] == (result["standard"] != "ts")
+        if not result["valid"]:
+            assert result["countervaluation"] == {"p": "i"}
+
+
 def test_closure_reads_stdin(capsys, monkeypatch):
     import io
 

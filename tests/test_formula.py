@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ATOM_NAMES, formulas
+from conftest import ATOM_NAMES, formulas, shared_pools
 from trivalent.errors import ParseError, ResourceLimitError
 from trivalent.formula import (
     And,
@@ -16,6 +16,7 @@ from trivalent.formula import (
     parse,
     parse_inference,
     substitute,
+    subformulas,
 )
 
 
@@ -89,6 +90,47 @@ def test_substitute_examples():
 @given(formulas())
 def test_print_parse_round_trip(f):
     assert parse(str(f)) == f
+
+
+def test_printing_uses_minimal_parentheses():
+    assert str(parse("((~(p & q)) | (r & (s | t))) & ~~p")) == "(~(p & q) | r & (s | t)) & ~~p"
+    assert str(parse("(p & q) & r")) == "p & q & r"
+    assert str(parse("p & (q & r)")) == "p & (q & r)"
+    assert str(parse("p | (q | r)")) == "p | (q | r)"
+
+
+def test_printing_deep_formulas_never_recurses():
+    deep = Var("p")
+    for _ in range(5000):
+        deep = Neg(deep)
+    assert str(deep) == "~" * 5000 + "p"
+    # Strings, not formulas: == between two deep formulas still recurses.
+    chain = " | ".join(["p & ~q"] * 5000)
+    assert str(parse(chain)) == chain
+
+
+def all_subformulas(f):
+    """Oracle: the set of subformulas of ``f``, by recursion."""
+    if isinstance(f, Var):
+        return {f}
+    if isinstance(f, Neg):
+        return {f} | all_subformulas(f.child)
+    return {f} | all_subformulas(f.left) | all_subformulas(f.right)
+
+
+@settings(max_examples=100)
+@given(shared_pools())
+def test_subformulas_lists_each_once_after_its_children(pool_and_names):
+    pool, _ = pool_and_names
+    listed = subformulas(pool)
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set().union(*map(all_subformulas, pool))
+    position = {f: i for i, f in enumerate(listed)}
+    for f in listed:
+        if isinstance(f, Neg):
+            assert position[f.child] < position[f]
+        elif not isinstance(f, Var):
+            assert max(position[f.left], position[f.right]) < position[f]
 
 
 def compose_substitutions(outer, inner):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bnm_schemes, formulas, inferences
+from conftest import bnm_schemes, classical, classical_scan, formulas, inferences, shared_pools
 from trivalent import semantics
 from trivalent.errors import MissingAtomError, ResourceLimitError
-from trivalent.formula import And, Inference, Neg, Or, Var, atoms, parse, parse_inference
+from trivalent.formula import Inference, Or, Var, atoms, parse, parse_inference
 from trivalent.scheme import F, I, T, Scheme, enumerate_bnm_schemes
 from trivalent.semantics import (
     MAX_STACKED_SCHEMES,
@@ -21,7 +21,6 @@ from trivalent.semantics import (
     FormulaStandard,
     Standard,
     Valuation,
-    accept_masks,
     classical_masks,
     classical_verdicts,
     countervaluations,
@@ -80,17 +79,7 @@ def test_two_valued_evaluation_is_classical(scheme, f, data):
     names = sorted(atoms(f))
     picks = data.draw(st.tuples(*[st.sampled_from([F, T])] * len(names)))
     v = Valuation.of(dict(zip(names, picks)))
-
-    def classical(g):
-        if isinstance(g, Var):
-            return v.value(g.name) is T
-        if isinstance(g, Neg):
-            return not classical(g.child)
-        if isinstance(g, And):
-            return classical(g.left) and classical(g.right)
-        return classical(g.left) or classical(g.right)
-
-    assert (eval_formula(scheme, v, f) is T) == classical(f)
+    assert (eval_formula(scheme, v, f) is T) == classical(f, {n: v.value(n) is T for n in names})
     assert eval_formula(scheme, v, f) in (F, T)
 
 
@@ -316,7 +305,6 @@ def test_mask_verdict_over_superset_atoms(scheme, standard, inf, extra):
     formulas_ = [*inf.premises, inf.conclusion]
     logic = LogicSpec(scheme, standard)
     accepts, rejects = formula_masks(logic, formulas_, names)
-    assert accepts == accept_masks(scheme, formulas_, names, standard.premise)
     premises = -1
     for mask in accepts[:-1]:
         premises &= mask
@@ -344,29 +332,6 @@ scheme_stacks = st.lists(st.one_of(bnm_schemes, any_schemes), min_size=1, max_si
 POOL_STANDARDS = (SS, TT, ST, TS, parse_standard("-:1"), parse_standard("0i:1"))
 
 
-@st.composite
-def shared_pools(draw):
-    """A pool over the first 1-4 of p, q, r, s whose later formulas reuse
-    earlier ones as subformulas, as the same objects and as equal copies."""
-    names = ("p", "q", "r", "s")[: draw(st.integers(1, 4))]
-    leaves = st.sampled_from(names).map(Var)
-    shape = st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            inner.map(Neg),
-            st.tuples(inner, inner).map(lambda pair: And(*pair)),
-            st.tuples(inner, inner).map(lambda pair: Or(*pair)),
-        ),
-        max_leaves=4,
-    )
-    pool = draw(st.lists(shape, min_size=1, max_size=4))
-    for _ in range(draw(st.integers(0, 4))):
-        left = draw(st.sampled_from(pool))
-        right = parse(str(draw(st.sampled_from(pool))))
-        pool.append(draw(st.sampled_from([And(left, right), Or(left, right), Neg(right)])))
-    return pool, names
-
-
 def scanned_vector(scheme, f, names):
     """Oracle: ``f``'s values over ``names``, one ``eval_formula`` call per
     valuation in canonical order."""
@@ -384,6 +349,34 @@ def test_stacked_vectors_are_per_scheme_truth_vectors(schemes, pool_and_names):
         assert len(vector) == len(schemes) * size
         for s, scheme in enumerate(schemes):
             assert vector[s * size:(s + 1) * size] == scanned_vector(scheme, f, names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_pools(), st.sets(st.sampled_from(["a", "m", "t"])), st.data())
+def test_classical_masks_are_plain_boolean_scans(pool_and_names, extra, data):
+    """Per pool formula, one byte per two-valued valuation over any superset
+    of the pool's atoms, as a plain-Python scan reads it.  An atom missing
+    from ``names`` raises, and so does a 13th atom unless ``atom_cap=13``."""
+    pool, base = pool_and_names
+    names = tuple(sorted(set(base) | extra))
+    masks = classical_masks(pool, names)
+    assert [m.to_bytes(2 ** len(names), "big") for m in masks] == [
+        bytes(classical_scan(f, names)) for f in pool
+    ]
+
+    missing = data.draw(st.sampled_from(sorted(set().union(*map(atoms, pool)))))
+    with pytest.raises(MissingAtomError):
+        classical_masks(pool, tuple(n for n in names if n != missing))
+
+    # Padding atoms sort after the pool's, so each valuation's byte over
+    # the pool's atoms repeats once per valuation of the padding.
+    wide = base + tuple(f"x{i:02}" for i in range(13 - len(base)))
+    with pytest.raises(ResourceLimitError):
+        classical_masks(pool, wide)
+    repeat = 2 ** (13 - len(base))
+    for f, mask in zip(pool, classical_masks(pool, wide, atom_cap=13)):
+        expected = bytes(b for b in classical_scan(f, base) for _ in range(repeat))
+        assert mask.to_bytes(2 ** 13, "big") == expected
 
 
 @settings(max_examples=80, deadline=None)
