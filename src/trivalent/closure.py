@@ -11,7 +11,8 @@ The closure operators of interest act on *sets of inferences*:
   independent direct greatest-fixpoint implementation kept alongside for
   cross-checking);
 * Tarskian closure: the least superset closed under reflexivity,
-  premise monotonicity, the cut rule, and substitution.
+  premise monotonicity, the cut rule, and substitution (computed as cut
+  closure iterated with monotonicity and substitution).
 
 The unrestricted operators act on an infinite inference space and are not
 computable, so everything here is *relative to a universe*: a finite,
@@ -30,6 +31,10 @@ saturation below never materializes the universe; the universe is needed
 only to validate membership, and for the complement step of the dual
 operator, which enumerates the universe's premise sets but builds no
 inference of the complement.
+
+A universe checks the ``DEFAULT_UNIVERSE_CAP`` inference cap the first
+time it enumerates its premise sets, so no function here takes a cap
+argument, and the transitive closure, which never enumerates, still runs.
 """
 
 from __future__ import annotations
@@ -125,7 +130,6 @@ class Universe:
         depth: int,
         premise_cap: int,
         reserve: Iterable[str] = (),
-        max_formulas: int = DEFAULT_UNIVERSE_CAP,
     ) -> "Universe":
         """Enumerate all formulas over ``atom_names`` up to ``depth`` and add
         each reserve atom as a bare atomic formula.
@@ -139,7 +143,7 @@ class Universe:
         overlap = set(base_atoms) & set(reserve_list)
         if overlap:
             raise ValueError(f"reserve atoms must be distinct from base atoms: {sorted(overlap)}")
-        pool = list(enumerate_formulas(base_atoms, depth, max_formulas))
+        pool = list(enumerate_formulas(base_atoms, depth, DEFAULT_UNIVERSE_CAP))
         pool.extend(Var(name) for name in reserve_list)
         return cls(pool, premise_cap, reserve_list)
 
@@ -171,11 +175,9 @@ class Universe:
             f"reserve {sorted(self.reserve_atoms) or '-'}"
         )
 
-    # The lazy attributes below skip the size caps; reach them only through
-    # the module functions, which check the cap on every call.
-
     @cached_property
     def _premise_indices(self) -> tuple[tuple[int, ...], ...]:
+        _require_within_cap(self)
         return tuple(iter_subsets(list(range(len(self.formulas))), self.premise_cap))
 
     @cached_property
@@ -203,40 +205,40 @@ class Universe:
         return tuple(found)
 
 
-def _require_within_cap(u: Universe, max_count: int) -> None:
+def _require_within_cap(u: Universe) -> None:
     count = u.inference_count()
-    if count > max_count:
+    if count > DEFAULT_UNIVERSE_CAP:
         raise ResourceLimitError(
-            f"universe holds {count} inferences, above the cap of {max_count}"
+            f"universe holds {count} inferences, above the cap of {DEFAULT_UNIVERSE_CAP}"
         )
 
 
-def universe_inferences(
-    u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP
-) -> tuple[Inference, ...]:
+def universe_inferences(u: Universe) -> tuple[Inference, ...]:
     """Every inference expressible in the universe, in canonical order:
     premise sets smallest first (combination order over the formula pool),
     then conclusions in pool order."""
-    _require_within_cap(u, max_count)
     return u._inferences
 
 
-def universe_premise_indices(
-    u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP
-) -> tuple[tuple[int, ...], ...]:
+def universe_premise_indices(u: Universe) -> tuple[tuple[int, ...], ...]:
     """The premise sets of :func:`universe_inferences`, in the same order,
     as tuples of pool indices: the inference at position ``k * n + j``
     (``n`` pool formulas) has premise set ``k`` and conclusion ``j``."""
-    _require_within_cap(u, max_count)
     return u._premise_indices
 
 
-def _require_in_universe(base: Iterable[Inference], u: Universe) -> set[Inference]:
-    out = set(base)
-    for inf in out:
+def _index_base(
+    base: Iterable[Inference], u: Universe
+) -> tuple[set[Inference], dict[frozenset[Formula], set[Formula]]]:
+    """The base as a set, and as a map from each premise set to its
+    conclusions; raises on an inference outside the universe."""
+    members = set(base)
+    concl: dict[frozenset[Formula], set[Formula]] = {}
+    for inf in members:
         if not u.contains(inf):
             raise ValueError(f"inference not in universe: {inf}")
-    return out
+        concl.setdefault(inf.premises, set()).add(inf.conclusion)
+    return members, concl
 
 
 def _saturate_cut(concl: dict[frozenset[Formula], set[Formula]]) -> None:
@@ -262,13 +264,6 @@ def _saturate_cut(concl: dict[frozenset[Formula], set[Formula]]) -> None:
                         changed = True
 
 
-def _concl_index(members: Iterable[Inference]) -> dict[frozenset[Formula], set[Formula]]:
-    concl: dict[frozenset[Formula], set[Formula]] = {}
-    for inf in members:
-        concl.setdefault(inf.premises, set()).add(inf.conclusion)
-    return concl
-
-
 def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     """Least superset of ``base`` closed under the cut rule.
 
@@ -276,8 +271,7 @@ def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     introduces a premise set or conclusion that the base did not already
     use.
     """
-    members = _require_in_universe(base, u)
-    concl = _concl_index(members)
+    members, concl = _index_base(base, u)
     before = {premises: frozenset(cs) for premises, cs in concl.items()}
     _saturate_cut(concl)
     members.update(
@@ -288,9 +282,7 @@ def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     return frozenset(members)
 
 
-def dual_transitive_closure(
-    base: Iterable[Inference], u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP
-) -> InferenceSet:
+def dual_transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     """Greatest subset of ``base`` whose relative complement is cut-closed.
 
     Computed through the complement identity: take the complement of the
@@ -298,9 +290,7 @@ def dual_transitive_closure(
     universe.  The complement is kept as a map from premise set to
     conclusions and saturated in place; no inference of it is built.
     """
-    members = _require_in_universe(base, u)
-    _require_within_cap(u, max_count)
-    concl = _concl_index(members)
+    members, concl = _index_base(base, u)
     empty: frozenset[Formula] = frozenset()
     complement = {}
     for premises in u._premise_sets:
@@ -328,11 +318,9 @@ def dual_transitive_closure_direct(
     :func:`dual_transitive_closure` so the two can be played against each
     other in the operator-law checks.
     """
-    _require_within_cap(u, DEFAULT_UNIVERSE_CAP)
     empty: frozenset[Formula] = frozenset()
-    members = _require_in_universe(base, u)
+    members, concl = _index_base(base, u)
     deltas = [d for d in u._premise_sets if d]
-    concl = _concl_index(members)
     changed = True
     while changed:
         changed = False
@@ -366,18 +354,17 @@ def universe_preserving_substitutions(
     return u._substitutions
 
 
-def tarskian_closure(
-    base: Iterable[Inference], u: Universe, max_count: int = DEFAULT_UNIVERSE_CAP
-) -> InferenceSet:
+def tarskian_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     """Least superset of ``base`` within the universe closed under
     reflexivity, premise monotonicity (up to the cap), cut, and
-    universe-preserving substitution."""
-    _require_within_cap(u, max_count)
-    members = _require_in_universe(base, u)
-    for f in u.formulas:
-        members.add(Inference((f,), f))
+    universe-preserving substitution: the cut closure of the base and
+    every ``f => f``, widened and substituted once, closed again, until a
+    round adds nothing."""
+    _require_within_cap(u)
     substitutions = universe_preserving_substitutions(u)
     pool = u.formulas
+    reflexive = (Inference((f,), f) for f in pool)
+    members = transitive_closure(itertools.chain(base, reflexive), u)
     while True:
         added: set[Inference] = set()
         for inf in members:
@@ -391,16 +378,9 @@ def tarskian_closure(
                 image = substitute_inference(inf, sigma)
                 if image not in members:
                     added.add(image)
-        concl = _concl_index(members)
-        _saturate_cut(concl)
-        for premises, cs in concl.items():
-            for c in cs:
-                inf = Inference(premises, c)
-                if inf not in members:
-                    added.add(inf)
         if not added:
-            return frozenset(members)
-        members |= added
+            return members
+        members = transitive_closure(members | added, u)
 
 
 def check_operator_laws(

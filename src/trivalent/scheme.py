@@ -69,8 +69,7 @@ class Scheme:
     ``neg_table`` is indexed by the argument value; ``conj_table`` and
     ``disj_table`` are flat 9-tuples indexed by ``3*left + right``.
     The name is a label only and does not take part in equality.  Whether
-    the tables are BNM is decided on the first :func:`is_bnm` call and kept
-    on the instance.
+    the tables are BNM is decided at construction and kept on the instance.
     """
 
     neg_table: UnaryTable
@@ -78,7 +77,7 @@ class Scheme:
     disj_table: BinaryTable
     name: str | None = field(default=None, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
-    _bnm: bool | None = field(init=False, default=None, repr=False, compare=False)
+    _bnm: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.neg_table) != 3 or len(self.conj_table) != 9 or len(self.disj_table) != 9:
@@ -86,6 +85,7 @@ class Scheme:
         object.__setattr__(
             self, "_hash", hash((self.neg_table, self.conj_table, self.disj_table))
         )
+        object.__setattr__(self, "_bnm", is_boolean_normal(self) and is_monotonic(self))
 
     def __hash__(self) -> int:
         return self._hash
@@ -157,9 +157,7 @@ def is_monotonic(s: Scheme) -> bool:
 
 
 def is_bnm(s: Scheme) -> bool:
-    """Boolean normal and monotonic; decided once per scheme instance."""
-    if s._bnm is None:
-        object.__setattr__(s, "_bnm", is_boolean_normal(s) and is_monotonic(s))
+    """Boolean normal and monotonic; decided when the scheme is built."""
     return s._bnm
 
 
@@ -238,9 +236,6 @@ def preset(name: str) -> Scheme:
 
 
 # --- text format ---------------------------------------------------------
-
-_OPS = ("neg", "and", "or")
-
 
 def scheme_to_text(s: Scheme) -> str:
     """Serialize all 21 table entries, one ``op(args) = value`` line each."""

@@ -239,7 +239,6 @@ def _check_atom_cap(names: Sequence[str], atom_cap: int) -> None:
 MAX_STACKED_SCHEMES = 256 // 9
 
 
-@lru_cache(maxsize=None)
 def _var_vector(names: tuple[str, ...], name: str) -> bytes:
     position = names.index(name)
     period = 3 ** (len(names) - 1 - position)

@@ -179,7 +179,6 @@ class VerificationContext:
             self.micro1,
             Universe.build(["p"], 1, 2, reserve=["q"]),
         )
-        self._logics: dict[tuple[Scheme, Standard], LogicSpec] = {}
 
     def rng_for(self, claim: str) -> random.Random:
         """A fresh stream per claim, so ``--only`` selections reproduce the
@@ -187,11 +186,7 @@ class VerificationContext:
         return random.Random(f"{self.config.seed}:{claim}")
 
     def logic(self, scheme: Scheme, standard: Standard) -> LogicSpec:
-        key = (scheme, standard)
-        spec = self._logics.get(key)
-        if spec is None:
-            spec = self._logics[key] = LogicSpec(scheme, standard)
-        return spec
+        return LogicSpec(scheme, standard)
 
 
 # --- claims ----------------------------------------------------------------

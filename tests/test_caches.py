@@ -15,7 +15,6 @@ def test_module_level_caches_are_the_named_ones():
                 found.add(f"{info.name}.{name}")
     assert found == {
         "semantics.truth_vector",
-        "semantics._var_vector",
         "semantics._accept_table",
         "cli._shared_parser",
     }

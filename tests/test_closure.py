@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import small_universes
 from trivalent.errors import ResourceLimitError
 from trivalent.formula import Inference, Var, atoms, parse_inference
+from trivalent.characterize import star_set, valid_subset
 from trivalent.closure import (
     Universe,
     check_operator_laws,
@@ -19,6 +20,7 @@ from trivalent.closure import (
     universe_premise_indices,
     universe_preserving_substitutions,
 )
+from trivalent.semantics import SS, LogicSpec
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 
@@ -115,19 +117,48 @@ def test_premise_indices_follow_inference_order():
             assert inf.conclusion == conclusion
 
 
-def test_universe_materialization_cap():
-    u = Universe.build(["p", "q"], 2, 2)
-    with pytest.raises(ResourceLimitError):
-        universe_inferences(u, max_count=1000)
+def over_cap_universe():
+    u = Universe.build(["p"], 2, 4, ["q"])
+    assert u.inference_count() == 3_153_734
+    return u
 
 
 def test_direct_dual_closure_checks_the_cap():
-    u = Universe.build(["p"], 2, 4, ["q"])
-    assert u.inference_count() == 3_153_734
-    with pytest.raises(ResourceLimitError):
-        dual_transitive_closure_direct(set(), u)
-    with pytest.raises(ResourceLimitError):
-        dual_transitive_closure(set(), u)
+    """Both dual routes check the cap, and both reject an outside base
+    inference before they look at the universe's size."""
+    u = over_cap_universe()
+    outside = {parse_inference("q => q & q")}
+    for dual in (dual_transitive_closure_direct, dual_transitive_closure):
+        with pytest.raises(ResourceLimitError):
+            dual(set(), u)
+        with pytest.raises(ValueError):
+            dual(outside, u)
+
+
+def test_universe_materialization_cap(strong):
+    """Every universe-wide function raises on an over-cap universe, which
+    keeps none of its premise sets."""
+    u = over_cap_universe()
+    logic = LogicSpec(strong, SS)
+    for call in (
+        lambda: universe_inferences(u),
+        lambda: universe_premise_indices(u),
+        lambda: dual_transitive_closure(set(), u),
+        lambda: dual_transitive_closure_direct(set(), u),
+        lambda: tarskian_closure(set(), u),
+        lambda: valid_subset(logic, u),
+        lambda: star_set(logic, u),
+    ):
+        with pytest.raises(ResourceLimitError):
+            call()
+        assert "_premise_indices" not in vars(u)
+
+
+def test_cut_closure_never_enumerates_the_universe():
+    u = over_cap_universe()
+    base = {parse_inference("p => ~p"), parse_inference("~p => q")}
+    assert transitive_closure(base, u) == base | {parse_inference("p => q")}
+    assert "_premise_indices" not in vars(u)
 
 
 def test_equal_universes_agree(rng):
@@ -301,6 +332,21 @@ def test_tarskian_closure_matches_naive_oracle(rng):
     for _ in range(4):
         base = rng.sample(population, rng.randint(0, 4))
         assert tarskian_closure(base, u) == naive_tarskian_closure(base, u)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_universes(), st.data())
+def test_tarskian_closure_matches_naive_oracle_on_random_universes(u, data):
+    population = universe_inferences(u)
+    base = frozenset(data.draw(st.lists(st.sampled_from(population), max_size=6)))
+    closed = tarskian_closure(base, u)
+    assert closed == naive_tarskian_closure(base, u)
+    assert same_objects(closed, base)
+
+
+def test_tarskian_closure_rejects_outside_inferences():
+    with pytest.raises(ValueError):
+        tarskian_closure({parse_inference("p & p => q")}, Universe([P, Q], 2))
 
 
 def test_tarskian_closure_contains_reflexive_weakenings():

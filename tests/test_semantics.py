@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -410,10 +412,14 @@ def test_pool_rows_rebuild_every_inference(corpus):
     assert all(len(premises) == len(inf.premises) for (premises, _), inf in zip(rows, corpus))
 
 
-def test_stacking_guards_raise_before_anything_is_built(strong):
+def test_stacking_guards_raise_before_anything_is_built(strong, monkeypatch):
     wide = tuple(f"x{i:02d}" for i in range(13))
     pool = [Var(name) for name in wide]
-    built = semantics._var_vector.cache_info().currsize
+    built = []
+    var_vector = semantics._var_vector
+    monkeypatch.setattr(
+        semantics, "_var_vector", lambda *args: built.append(args) or var_vector(*args)
+    )
     with pytest.raises(ResourceLimitError):
         stacked_vectors([strong], pool, wide)
     with pytest.raises(ResourceLimitError):
@@ -423,9 +429,33 @@ def test_stacking_guards_raise_before_anything_is_built(strong):
     for count in (0, MAX_STACKED_SCHEMES + 1):
         with pytest.raises(ValueError):
             stacked_vectors([strong] * count, pool[:1], wide[:1])
-    assert semantics._var_vector.cache_info().currsize == built
+    assert built == []
     with pytest.raises(MissingAtomError):
         stacked_vectors([strong], [Var("q")], ("p",))
+
+
+def test_deciding_fresh_atoms_retains_no_memory(strong):
+    """Nothing a decision builds outlives it: a long-lived process deciding
+    over ever new atom names keeps no variable vectors."""
+    logic = LogicSpec(strong, SS)
+
+    def decide(tag):
+        names = [f"{tag}_{i}" for i in range(8)]
+        inf = Inference([Var(name) for name in names], Or(Var(names[0]), Var(names[-1])))
+        assert is_valid(logic, inf)
+
+    decide("warm")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for call in range(100):
+            decide(f"fresh{call}")
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
 
 
 def test_a_full_stack_fits_one_byte():
