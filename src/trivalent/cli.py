@@ -352,6 +352,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     except IndexError:
         raise ValueError("--config requires a file path") from None
     data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("--config file must hold a JSON object")
     expanded = []
     for key, value in data.items():
         flag = "--" + key.replace("_", "-")

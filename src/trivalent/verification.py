@@ -27,6 +27,12 @@ Sampling is reproducible: the random corpus is drawn from a
 most 3, premise counts at most 3), and each claim that samples further
 gets its own stream seeded from (seed, claim name), so ``--only``
 selections see the same draws as a full run.
+
+The universe claims (theorem4's closure check, theorem5, prop2, prop3,
+non-reflexivity and star-lattice) read their universes and scheme
+assignments from one table, ``VerificationContext.universe_runs``: each
+run pairs a micro-universe with a scheme family and names the claims that
+check it.  A new universe or assignment is one entry there.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .closure import (
 )
 from .characterize import (
     DerivationWitness,
+    FamilyMember,
     LatticeFamily,
     check_td_equals_star,
     check_ts_collapse,
@@ -91,7 +98,6 @@ from .semantics import (
     ST,
     TS,
     TT,
-    Standard,
     Valuation,
     classical_verdicts,
     eval_formula,
@@ -157,8 +163,23 @@ def exhaustive_corpus() -> list[Inference]:
     ]
 
 
+def _family(ss: Scheme, tt: Scheme, st: Scheme) -> LatticeFamily:
+    return LatticeFamily(LogicSpec(ss, SS), LogicSpec(tt, TT), LogicSpec(st, ST))
+
+
+@dataclass(frozen=True)
+class UniverseRun:
+    """One micro-universe under one scheme family, and the claims that
+    check it; ``label`` names the family in failure lines."""
+
+    label: str
+    family: LatticeFamily
+    universe: Universe
+    claims: frozenset[str]
+
+
 class VerificationContext:
-    """Shared corpora, universes and logics for one verification run."""
+    """Shared corpora, universes and scheme families for one verification run."""
 
     def __init__(self, config: VerifyConfig):
         self.config = config
@@ -167,26 +188,38 @@ class VerificationContext:
         self.corpus_b = [random_inference(rng) for _ in range(config.corpus_size)]
         self.reduced = self.corpus_b[: config.reduced_size]
         self.schemes = enumerate_bnm_schemes()
-        self.strong = preset("strong")
-        self.weak = preset("weak")
-        self.middle = preset("middle")
-        self.pair_schemes = (
-            self.schemes if config.all_pairs else [self.strong, self.weak, self.middle]
+        strong, weak, middle = preset("strong"), preset("weak"), preset("middle")
+        self.pair_schemes = self.schemes if config.all_pairs else [strong, weak, middle]
+        self.strong_family = _family(strong, strong, strong)
+        self.weak_family = _family(weak, weak, weak)
+        # Two different "mixed" assignments: strong ss with weak tt (prop2,
+        # theorem5, lemma1), and weak ss with strong tt (the two lattices).
+        self.mixed_family = _family(strong, weak, middle)
+        self.lattice_mixed_family = _family(weak, strong, middle)
+
+        micro1 = Universe.build(["p", "q"], 1, 2, reserve=["r"])
+        micro2 = Universe.build(["p"], 2, 2, reserve=["q"])
+        dual = frozenset({"theorem5", "prop2"})
+        first = dual | {"theorem4", "prop3", "non-reflexivity", "star-lattice"}
+        self.universe_runs = (
+            UniverseRun("strong", self.strong_family, micro1, first),
+            UniverseRun("weak", self.weak_family, micro1, dual),
+            UniverseRun("mixed", self.mixed_family, micro1, dual),
+            UniverseRun("strong", self.strong_family, micro2, dual | {"star-lattice"}),
+            UniverseRun("weak", self.weak_family, micro2, dual),
+            UniverseRun("mixed", self.mixed_family, micro2, dual),
+            UniverseRun("mixed", self.lattice_mixed_family, micro1, frozenset({"star-lattice"})),
         )
-        self.micro1 = Universe.build(["p", "q"], 1, 2, reserve=["r"])
-        self.micro2 = Universe.build(["p"], 2, 2, reserve=["q"])
-        self.law_universes = (
-            self.micro1,
-            Universe.build(["p"], 1, 2, reserve=["q"]),
-        )
+        self.law_universes = (micro1, Universe.build(["p"], 1, 2, reserve=["q"]))
 
     def rng_for(self, claim: str) -> random.Random:
         """A fresh stream per claim, so ``--only`` selections reproduce the
         same draws as a full run."""
         return random.Random(f"{self.config.seed}:{claim}")
 
-    def logic(self, scheme: Scheme, standard: Standard) -> LogicSpec:
-        return LogicSpec(scheme, standard)
+    def runs(self, claim: str) -> tuple[UniverseRun, ...]:
+        """The universe runs that name ``claim``, in table order."""
+        return tuple(run for run in self.universe_runs if claim in run.claims)
 
 
 # --- claims ----------------------------------------------------------------
@@ -364,7 +397,7 @@ def claim_theorem3(ctx: VerificationContext) -> Report:
     pair_count = len(ctx.pair_schemes) ** 2
     # Each union-gap fact reads one side's scheme only: decide the facts once
     # per scheme, and give a pair its ss scheme's ss side and tt scheme's tt side.
-    facts = [union_gap_facts(ctx.logic(s, SS), ctx.logic(s, TT)) for s in ctx.pair_schemes]
+    facts = [union_gap_facts(LogicSpec(s, SS), LogicSpec(s, TT)) for s in ctx.pair_schemes]
     for ss_scheme, ss_facts in zip(ctx.pair_schemes, facts):
         for tt_scheme, tt_facts in zip(ctx.pair_schemes, facts):
             for ss_fact, tt_fact in zip(ss_facts, tt_facts):
@@ -407,7 +440,7 @@ def claim_theorem3(ctx: VerificationContext) -> Report:
 
 
 def _decided_witnesses(
-    ctx: VerificationContext, inferences: Sequence[Inference], schemes: Sequence[Scheme]
+    inferences: Sequence[Inference], schemes: Sequence[Scheme]
 ) -> list[tuple[DerivationWitness, int, int]]:
     """Per classically valid inference, its witness as ``derive_classical``
     builds it under ``schemes[0]``, and the masks of the schemes under which
@@ -415,7 +448,7 @@ def _decided_witnesses(
     built = [witness_steps(inf) for inf in inferences]
     pool, rows = pool_rows(step for _, tt_steps, ss_step in built for step in (*tt_steps, ss_step))
     tt_masks, ss_masks = verdict_masks(schemes, pool, rows, CORPUS_ATOMS, (TT, SS))
-    logics = ctx.logic(schemes[0], TT), ctx.logic(schemes[0], SS)
+    logics = LogicSpec(schemes[0], TT), LogicSpec(schemes[0], SS)
     every = (1 << len(schemes)) - 1
     out, end = [], 0
     for delta, tt_steps, ss_step in built:
@@ -441,7 +474,7 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
     schemes = ctx.pair_schemes
     every = (1 << len(schemes)) - 1
     for inf, (witness, tt_ok, ss_ok) in zip(
-        reduced_valid, _decided_witnesses(ctx, reduced_valid, schemes)
+        reduced_valid, _decided_witnesses(reduced_valid, schemes)
     ):
         if not replay_witness(inf, witness):
             tt_ok = ss_ok = 0
@@ -457,14 +490,13 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
         f"{pair_count} scheme pairs x {len(reduced_valid)} inferences",
     )
 
-    strong_tt = ctx.logic(ctx.strong, TT)
-    strong_ss = ctx.logic(ctx.strong, SS)
+    strong = ctx.strong_family
     full_valid = [inf for inf, valid in zip(ctx.corpus_b, classical) if valid]
-    decided = iter(_decided_witnesses(ctx, full_valid, (ctx.strong,)))
+    decided = iter(_decided_witnesses(full_valid, (strong.ss.scheme,)))
     full_failures = 0
     for inf, valid in zip(ctx.corpus_b, classical):
         if not valid:
-            if derive_classical(inf, strong_tt, strong_ss) is not None:
+            if derive_classical(inf, strong.tt, strong.ss) is not None:
                 full_failures += 1
                 report.record("derivation-rejects-invalid", False, str(inf))
             continue
@@ -476,68 +508,39 @@ def claim_theorem4(ctx: VerificationContext) -> Report:
         "two-step-derivation-full-corpus", full_failures == 0, f"{len(full_valid)} valid inferences"
     )
 
-    u = ctx.micro1
-    union = valid_subset(strong_ss, u) | valid_subset(strong_tt, u)
-    closed = transitive_closure(union, u)
-    st_members = valid_subset(ctx.logic(ctx.strong, ST), u)
-    report.record(
-        "closure-of-union-inside-st",
-        closed <= st_members,
-        f"|T(union)|={len(closed)} |st members|={len(st_members)}",
-    )
-    report.notes["micro-universe union"] = len(union)
-    report.notes["micro-universe closure"] = len(closed)
-    report.notes["micro-universe st members"] = len(st_members)
+    for run in ctx.runs("theorem4"):
+        u, family = run.universe, run.family
+        union = valid_subset(family.ss, u) | valid_subset(family.tt, u)
+        closed = transitive_closure(union, u)
+        st_members = valid_subset(family.st, u)
+        report.record(
+            "closure-of-union-inside-st",
+            closed <= st_members,
+            f"|T(union)|={len(closed)} |st members|={len(st_members)}",
+        )
+        report.notes["micro-universe union"] = len(union)
+        report.notes["micro-universe closure"] = len(closed)
+        report.notes["micro-universe st members"] = len(st_members)
     return report
 
 
 def claim_theorem5(ctx: VerificationContext) -> Report:
     report = Report("theorem5")
-    assignments = (
-        (ctx.logic(ctx.strong, SS), ctx.logic(ctx.strong, TT)),
-        (ctx.logic(ctx.weak, SS), ctx.logic(ctx.weak, TT)),
-        (ctx.logic(ctx.strong, SS), ctx.logic(ctx.weak, TT)),
-    )
-    for u in (ctx.micro1, ctx.micro2):
-        for ss_logic, tt_logic in assignments:
-            result = check_ts_collapse(ss_logic, tt_logic, u)
-            report.checks += result.checks
-            report.failures.extend(result.failures)
+    for run in ctx.runs("theorem5"):
+        result = check_ts_collapse(run.family.ss, run.family.tt, run.universe)
+        report.checks += result.checks
+        report.failures.extend(result.failures)
     return report
 
 
 def claim_prop2(ctx: VerificationContext) -> Report:
     report = Report("prop2")
-    assignments = {
-        "strong": {
-            SS: ctx.logic(ctx.strong, SS),
-            TT: ctx.logic(ctx.strong, TT),
-            ST: ctx.logic(ctx.strong, ST),
-        },
-        "weak": {
-            SS: ctx.logic(ctx.weak, SS),
-            TT: ctx.logic(ctx.weak, TT),
-            ST: ctx.logic(ctx.weak, ST),
-        },
-        "mixed": {
-            SS: ctx.logic(ctx.strong, SS),
-            TT: ctx.logic(ctx.weak, TT),
-            ST: ctx.logic(ctx.middle, ST),
-        },
-    }
-    for u in (ctx.micro1, ctx.micro2):
-        for label, logics in assignments.items():
-            cases = [
-                logics[SS],
-                logics[TT],
-                (logics[SS], logics[TT]),
-                logics[ST],
-            ]
-            for case in cases:
-                result = check_td_equals_star(case, u)
-                report.checks += result.checks
-                for finding in result.failures:
-                    report.record("td-equals-star", False, f"{label}: {finding}")
+    for run in ctx.runs("prop2"):
+        for member in FamilyMember:
+            result = check_td_equals_star(run.family.logics(member), run.universe)
+            report.checks += result.checks
+            for finding in result.failures:
+                report.record("td-equals-star", False, f"{run.label}: {finding}")
     return report
 
 
@@ -554,17 +557,18 @@ def claim_operator_laws(ctx: VerificationContext) -> Report:
 
 def claim_prop3(ctx: VerificationContext) -> Report:
     report = Report("prop3")
-    u = ctx.micro1
-    l1 = valid_subset(ctx.logic(ctx.strong, SS), u)
-    l2 = valid_subset(ctx.logic(ctx.strong, TT), u)
-    report.record("ss-tarskian-closed", tarskian_closure(l1, u) == l1, f"|ss members|={len(l1)}")
-    report.record("tt-tarskian-closed", tarskian_closure(l2, u) == l2, f"|tt members|={len(l2)}")
-    union = l1 | l2
-    report.record(
-        "tarskian-union-is-cut-closure",
-        tarskian_closure(union, u) == transitive_closure(union, u),
-        f"|union|={len(union)}",
-    )
+    for run in ctx.runs("prop3"):
+        u = run.universe
+        l1 = valid_subset(run.family.ss, u)
+        l2 = valid_subset(run.family.tt, u)
+        report.record("ss-tarskian-closed", tarskian_closure(l1, u) == l1, f"|ss members|={len(l1)}")
+        report.record("tt-tarskian-closed", tarskian_closure(l2, u) == l2, f"|tt members|={len(l2)}")
+        union = l1 | l2
+        report.record(
+            "tarskian-union-is-cut-closure",
+            tarskian_closure(union, u) == transitive_closure(union, u),
+            f"|union|={len(union)}",
+        )
     return report
 
 
@@ -572,11 +576,12 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     """Sampled reflexivity, monotonicity, cut and substitution instances."""
     report = Report("lemma1")
     rng = ctx.rng_for("lemma1")
-    logic_sets: dict[str, tuple[LogicSpec, ...]] = {
-        "ss": (ctx.logic(ctx.strong, SS),),
-        "tt": (ctx.logic(ctx.strong, TT),),
-        "ss&tt": (ctx.logic(ctx.strong, SS), ctx.logic(ctx.weak, TT)),
-        "st": (ctx.logic(ctx.middle, ST),),
+    strong, mixed = ctx.strong_family, ctx.mixed_family
+    logic_sets = {
+        "ss": strong.logics(FamilyMember.SS),
+        "tt": strong.logics(FamilyMember.TT),
+        "ss&tt": mixed.logics(FamilyMember.MEET),
+        "st": mixed.logics(FamilyMember.ST),
     }
     pool = [
         f for inf in ctx.corpus_b[:400] for f in (*inf.sorted_premises(), inf.conclusion)
@@ -619,18 +624,17 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
             )
 
     chained = 0
-    strong_ss = ctx.logic(ctx.strong, SS)
     for inf in ctx.corpus_b[:2000]:
-        if not inf.premises or not is_valid(strong_ss, inf):
+        if not inf.premises or not is_valid(strong.ss, inf):
             continue
         mid = inf.conclusion
         for f in rng.sample(pool, 8):
             step = Inference((mid,), f)
-            if is_valid(strong_ss, step):
+            if is_valid(strong.ss, step):
                 chained += 1
                 report.record(
                     "cut-chained",
-                    is_valid(strong_ss, Inference(inf.premises, f)),
+                    is_valid(strong.ss, Inference(inf.premises, f)),
                     f"{inf} ; {step}",
                 )
                 break
@@ -652,7 +656,7 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
     ]
     for scheme in ctx.schemes:
         for standard in (SS, TT):
-            logic = ctx.logic(scheme, standard)
+            logic = LogicSpec(scheme, standard)
             for _ in range(ctx.config.equivalence_samples):
                 gamma = frozenset(rng.sample(pool, rng.randint(1, 3)))
                 antith = is_antitheorem(logic, gamma)
@@ -690,35 +694,22 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
 
 def claim_non_reflexivity(ctx: VerificationContext) -> Report:
     report = Report("non-reflexivity")
-    u = ctx.micro1
     p = Var("p")
     reflexive = Inference((p,), p)
-    bases = {
-        "ss": valid_subset(ctx.logic(ctx.strong, SS), u),
-        "tt": valid_subset(ctx.logic(ctx.strong, TT), u),
-        "ss&tt": valid_subset((ctx.logic(ctx.strong, SS), ctx.logic(ctx.strong, TT)), u),
-        "st": valid_subset(ctx.logic(ctx.strong, ST), u),
-    }
-    for name, base in bases.items():
-        report.record(f"{name}-contains-p=>p", reflexive in base, "")
-        closed = dual_transitive_closure(base, u)
-        report.record(
-            f"{name}-dual-closure-drops-p=>p", reflexive not in closed, f"|closed|={len(closed)}"
-        )
+    for run in ctx.runs("non-reflexivity"):
+        for member in FamilyMember:
+            base = valid_subset(run.family.logics(member), run.universe)
+            report.record(f"{member}-contains-p=>p", reflexive in base, "")
+            closed = dual_transitive_closure(base, run.universe)
+            report.record(
+                f"{member}-dual-closure-drops-p=>p", reflexive not in closed, f"|closed|={len(closed)}"
+            )
     return report
 
 
 def claim_lattice(ctx: VerificationContext) -> Report:
     report = Report("lattice")
-    families = {
-        "strong": LatticeFamily(
-            ctx.logic(ctx.strong, SS), ctx.logic(ctx.strong, TT), ctx.logic(ctx.strong, ST)
-        ),
-        "mixed": LatticeFamily(
-            ctx.logic(ctx.weak, SS), ctx.logic(ctx.strong, TT), ctx.logic(ctx.middle, ST)
-        ),
-    }
-    for label, family in families.items():
+    for label, family in (("strong", ctx.strong_family), ("mixed", ctx.lattice_mixed_family)):
         result = verify_lattices(family, ctx.corpus_b)
         report.checks += result.checks
         for finding in result.failures:
@@ -729,22 +720,11 @@ def claim_lattice(ctx: VerificationContext) -> Report:
 
 def claim_star_lattice(ctx: VerificationContext) -> Report:
     report = Report("star-lattice")
-    strong_family = LatticeFamily(
-        ctx.logic(ctx.strong, SS), ctx.logic(ctx.strong, TT), ctx.logic(ctx.strong, ST)
-    )
-    mixed_family = LatticeFamily(
-        ctx.logic(ctx.weak, SS), ctx.logic(ctx.strong, TT), ctx.logic(ctx.middle, ST)
-    )
-    runs = (
-        ("strong", strong_family, ctx.micro1),
-        ("strong", strong_family, ctx.micro2),
-        ("mixed", mixed_family, ctx.micro1),
-    )
-    for label, family, u in runs:
-        result = verify_lattices(family, (), u)
+    for run in ctx.runs("star-lattice"):
+        result = verify_lattices(run.family, (), run.universe)
         report.checks += result.checks
         for finding in result.failures:
-            report.record("star-lattice", False, f"{label}/{u.describe()}: {finding}")
+            report.record("star-lattice", False, f"{run.label}/{run.universe.describe()}: {finding}")
     report.record("star-lattice-all-runs", report.passed, "")
     return report
 

@@ -21,6 +21,9 @@ from trivalent.verification import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The accepted `verify --seed 42 --format json --no-timestamp` output.  A change
+# that moves a count on purpose updates this file and says so in CHANGES.md.
+GOLDEN = Path(__file__).resolve().parent / "verify_seed42.json"
 
 
 @pytest.fixture(scope="session")
@@ -123,9 +126,11 @@ def _run_verify(hash_seed: str) -> str:
 def test_criterion_10_determinism():
     first = _run_verify("0")
     second = _run_verify("271828")
-    ok = first == second
+    golden = GOLDEN.read_text(encoding="utf-8")
+    ok = first == second == golden
     payload = json.loads(first)
     print(f"ACCEPTANCE 10 determinism: {'PASS' if ok else 'FAIL'} "
           f"({payload['failures']} failures reported)")
-    assert ok, "verify --seed 42 JSON output differs between runs"
+    assert first == second, "verify --seed 42 JSON output differs between runs"
     assert payload["failures"] == 0
+    assert first == golden, f"verify --seed 42 JSON output differs from {GOLDEN.name}"

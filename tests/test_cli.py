@@ -316,6 +316,15 @@ def test_verify_config_file(capsys, tmp_path):
     assert [c["claim"] for c in payload["claims"]] == ["scheme-enumeration"]
 
 
+def test_verify_config_file_must_hold_an_object(capsys, tmp_path):
+    config = tmp_path / "verify.json"
+    for text in ("[1, 2]", "3", '"only"', "null"):
+        config.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == "error: --config file must hold a JSON object\n"
+
+
 def test_check_rejects_an_empty_standard_list(capsys):
     for selector in (",", " , "):
         code, out, err = run(capsys, "check", "--standard", selector, "p => q")

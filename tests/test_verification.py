@@ -104,8 +104,8 @@ def test_theorem3_separator_search_matches_per_pair_search():
                 inf
                 for inf in ctx.corpus_b
                 if is_classically_valid(inf)
-                and not is_valid(ctx.logic(ss, SS), inf)
-                and not is_valid(ctx.logic(tt, TT), inf)
+                and not is_valid(LogicSpec(ss, SS), inf)
+                and not is_valid(LogicSpec(tt, TT), inf)
             ),
             None,
         )
@@ -133,7 +133,7 @@ def test_theorem4_pair_failures_match_per_pair_derivations(monkeypatch, delta):
     expected = []
     for tt, ss in itertools.product(ctx.pair_schemes, repeat=2):
         for inf in ctx.reduced:
-            witness = derive_classical(inf, ctx.logic(tt, TT), ctx.logic(ss, SS))
+            witness = derive_classical(inf, LogicSpec(tt, TT), LogicSpec(ss, SS))
             if witness is not None and not (witness.all_passed and replay_witness(inf, witness)):
                 expected.append(f"two-step-derivation: tt={tt} ss={ss}: {inf}")
     assert expected
@@ -215,7 +215,7 @@ def test_theorem3_takes_each_side_of_a_pair_from_its_own_scheme(monkeypatch):
     expected = [
         f"union-gap: {ss}/{tt}: {finding}"
         for ss, tt in itertools.product(ctx.pair_schemes, repeat=2)
-        for finding in check_union_gap(ctx.logic(ss, SS), ctx.logic(tt, TT)).failures
+        for finding in check_union_gap(LogicSpec(ss, SS), LogicSpec(tt, TT)).failures
     ]
     mixed = [line for line in expected if line.startswith(f"union-gap: {ss_broken}/{tt_broken}:")]
     assert [line.split(": ")[2] for line in mixed] == [
@@ -224,3 +224,42 @@ def test_theorem3_takes_each_side_of_a_pair_from_its_own_scheme(monkeypatch):
     ]
     report = CLAIMS["theorem3"](ctx)
     assert [str(f) for f in report.failures if f.check == "union-gap"] == expected
+
+
+def test_universe_runs_name_only_registered_claims():
+    ctx = VerificationContext(SMALL)
+    named = set().union(*(run.claims for run in ctx.universe_runs))
+    assert named <= set(CLAIMS)
+    counts = {claim: len(ctx.runs(claim)) for claim in named}
+    assert counts == {
+        "theorem4": 1, "prop3": 1, "non-reflexivity": 1,
+        "prop2": 6, "theorem5": 6, "star-lattice": 3,
+    }
+
+
+def test_the_two_mixed_families_keep_their_schemes():
+    """prop2 and theorem5 mix strong ss with weak tt, the star lattice weak
+    ss with strong tt; both print as "mixed"."""
+    ctx = VerificationContext(SMALL)
+    expected = {
+        "prop2": ("strong", "weak", "middle"),
+        "theorem5": ("strong", "weak", "middle"),
+        "star-lattice": ("weak", "strong", "middle"),
+    }
+    for claim, schemes in expected.items():
+        mixed = {
+            tuple(str(logic.scheme) for logic in (run.family.ss, run.family.tt, run.family.st))
+            for run in ctx.runs(claim)
+            if run.label == "mixed"
+        }
+        assert mixed == {schemes}
+
+
+def test_universe_claims_read_their_universes_from_the_table():
+    """prop2 runs four cases per run; with the table cut to the first
+    universe it checks half of its 24."""
+    ctx = VerificationContext(SMALL)
+    first = ctx.universe_runs[0].universe
+    ctx.universe_runs = tuple(run for run in ctx.universe_runs if run.universe is first)
+    report = CLAIMS["prop2"](ctx)
+    assert report.passed and report.checks == 12
