@@ -70,6 +70,7 @@ from .characterize import (
     DerivationWitness,
     FamilyMember,
     LatticeFamily,
+    check_star_lattice,
     check_td_equals_star,
     check_ts_collapse,
     check_union_gap,

@@ -13,7 +13,7 @@ The centerpiece facts this module turns into checkable constructions:
 * the four validity sets {ss, tt, their intersection, st} form a lattice
   whose join is cut-closure of the union and whose meet is intersection,
   and the corresponding star sets form an isomorphic lattice the other way
-  up (``LatticeFamily``, ``verify_lattices``).
+  up (``LatticeFamily``, ``verify_lattices``, ``check_star_lattice``).
 """
 
 from __future__ import annotations
@@ -411,14 +411,9 @@ def _lattice_algebra_failure() -> str | None:
     return None
 
 
-def verify_lattices(
-    family: LatticeFamily,
-    sample: Iterable[Inference],
-    universe: Universe | None = None,
-) -> Report:
-    """Check the lattice algebra once on the four members, membership on the
-    sample, and (when a universe is supplied) the star-set lattice exactly
-    on it.
+def verify_lattices(family: LatticeFamily, sample: Iterable[Inference]) -> Report:
+    """Check the lattice algebra once on the four members, and membership on
+    the sample.
 
     Equal members have equal membership for every inference, so an identity
     that holds between members holds between memberships too; it is checked
@@ -459,13 +454,12 @@ def verify_lattices(
         if not report.record("membership-identities", ok, "" if ok else str(inf)):
             break
     report.notes["sampled"] = decided
-
-    if universe is not None:
-        _star_lattice_checks(report, family, universe)
     return report
 
 
-def _star_lattice_checks(report: Report, family: LatticeFamily, u: Universe) -> None:
+def check_star_lattice(family: LatticeFamily, u: Universe) -> Report:
+    """Check the star-set lattice of the family exactly on a universe."""
+    report = Report("star-lattice")
     ss_star = star_set(family.ss, u)
     tt_star = star_set(family.tt, u)
     st_star = star_set(family.st, u)
@@ -534,3 +528,4 @@ def _star_lattice_checks(report: Report, family: LatticeFamily, u: Universe) -> 
         and not is_theorem(family.ss, lem_ish.conclusion),
         "explosion-style vs excluded-middle-style witnesses",
     )
+    return report

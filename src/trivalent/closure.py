@@ -1,18 +1,16 @@
 """Bounded inference universes and the closure operators over them.
 
-The closure operators of interest act on *sets of inferences*:
+The closure operators act on *sets of inferences*:
 
 * transitive closure: the least superset closed under cut with an
-  arbitrary nonempty set of intermediate formulas (if Delta => phi is in
-  the set and Gamma => delta is in the set for every delta in Delta, then
-  Gamma => phi is in the set);
+  arbitrary nonempty set of intermediate formulas (if Delta => phi and
+  Gamma => delta for every delta in Delta are in the set, so is
+  Gamma => phi);
 * dual transitive closure: the greatest subset whose complement is closed
-  under the same rule (computed here via that complement identity, with an
-  independent direct greatest-fixpoint implementation kept alongside for
-  cross-checking);
-* Tarskian closure: the least superset closed under reflexivity,
-  premise monotonicity, the cut rule, and substitution (computed as cut
-  closure iterated with monotonicity and substitution).
+  under the same rule (computed through that complement identity, with an
+  independent direct greatest-fixpoint implementation for cross-checking);
+* Tarskian closure: the least superset closed under reflexivity, premise
+  monotonicity, cut and substitution.
 
 The unrestricted operators act on an infinite inference space and are not
 computable, so everything here is *relative to a universe*: a finite,
@@ -22,19 +20,19 @@ formulas and stand in for fresh variables.  Results are exact within the
 universe; callers comparing against unrestricted claims must pick
 universes large enough to express the derivations they care about.
 
-A technical point the implementation relies on: the cut rule can only ever
-add an inference Gamma => phi when Gamma already appears as the premise
-set of some member (the rule requires Gamma => delta in the set for all
-delta in a nonempty Delta).  The transitive closure of a base therefore
-lives entirely on the base's own premise sets and conclusions, so the
-saturation below never materializes the universe; the universe is needed
-only to validate membership, and for the complement step of the dual
-operator, which enumerates the universe's premise sets but builds no
-inference of the complement.
+Cut only adds Gamma => phi when Gamma is already the premise set of a
+member, so the cut closure of a base lives on the base's own premise sets
+and never materializes the universe.  Its row at Gamma depends only on
+Gamma's base conclusions, so each distinct row is closed once, by value.
+The dual operator closes the complement the same way; it enumerates the
+universe's premise sets but builds no inference of the complement.  The
+Tarskian closure is cut closure iterated with widening and substitution,
+each round applying them only to the members the last round added.
 
 A universe checks the ``DEFAULT_UNIVERSE_CAP`` inference cap the first
-time it enumerates its premise sets, so no function here takes a cap
-argument, and the transitive closure, which never enumerates, still runs.
+time it enumerates its premise sets, and the ``DEFAULT_SUBSTITUTION_CAP``
+candidate cap before it searches for its preserving substitutions, so no
+function here takes a cap argument.
 """
 
 from __future__ import annotations
@@ -197,6 +195,11 @@ class Universe:
 
     @cached_property
     def _substitutions(self) -> tuple[dict, ...]:
+        count = len(self.formulas) ** len(self.atom_names)
+        if count > DEFAULT_SUBSTITUTION_CAP:
+            raise ResourceLimitError(
+                f"substitution search space has {count} candidates, above the cap of {DEFAULT_SUBSTITUTION_CAP}"
+            )
         found: list[dict] = []
         for images in itertools.product(self.formulas, repeat=len(self.atom_names)):
             sigma = dict(zip(self.atom_names, images))
@@ -241,27 +244,29 @@ def _index_base(
     return members, concl
 
 
-def _saturate_cut(concl: dict[frozenset[Formula], set[Formula]]) -> None:
-    """In-place cut saturation: concl maps each premise set to the set of
-    conclusions derivable from it.  Fixpoint is the least one; the loop is
-    order-insensitive because the rule is monotone.  A row holding every
-    conclusion that occurs in the index cannot grow, so it is skipped."""
-    keys = list(concl)
-    deltas = [k for k in keys if k]
-    occurring = len(set().union(*concl.values()))
-    changed = True
-    while changed:
-        changed = False
-        for gamma in keys:
-            derivable = concl[gamma]
-            if len(derivable) == occurring:
-                continue
-            for delta in deltas:
-                if delta <= derivable:
-                    extra = concl[delta]
-                    if not extra <= derivable:
-                        derivable |= extra
-                        changed = True
+def _cut_closed(concl: dict[frozenset[Formula], set[Formula]]) -> dict:
+    """The least cut-closed extension of ``concl``, which maps each premise
+    set Gamma to its base conclusions base(Gamma).  Let H(X) be the least
+    D >= X holding base(Delta) for every nonempty Delta <= D.  R(Gamma) =
+    H(base(Gamma)) is cut-closed, as a nonempty Delta <= R(Gamma) puts
+    base(Delta), hence R(Delta), inside R(Gamma); and every cut-closed
+    superset's row at Gamma holds base(Gamma) and obeys the same rules, so
+    it contains R(Gamma).  So each distinct row is closed once, and a rule
+    that has fired stays satisfied and is dropped."""
+    rules = [(delta, frozenset(cs)) for delta, cs in concl.items() if delta]
+    by_row = dict.fromkeys(map(frozenset, concl.values()))
+    for row in by_row:
+        derived, pending, size = set(row), rules, -1
+        while len(pending) != size:
+            size, waiting = len(pending), []
+            for delta, cs in pending:
+                if delta <= derived:
+                    derived |= cs
+                else:
+                    waiting.append((delta, cs))
+            pending = waiting
+        by_row[row] = frozenset(derived)
+    return {gamma: by_row[frozenset(row)] for gamma, row in concl.items()}
 
 
 def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
@@ -272,12 +277,10 @@ def transitive_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     use.
     """
     members, concl = _index_base(base, u)
-    before = {premises: frozenset(cs) for premises, cs in concl.items()}
-    _saturate_cut(concl)
     members.update(
         Inference(premises, c)
-        for premises, cs in concl.items()
-        for c in cs - before[premises]
+        for premises, cs in _cut_closed(concl).items()
+        for c in cs - concl[premises]
     )
     return frozenset(members)
 
@@ -287,21 +290,20 @@ def dual_transitive_closure(base: Iterable[Inference], u: Universe) -> Inference
 
     Computed through the complement identity: take the complement of the
     transitive closure of the complement of ``base``, both relative to the
-    universe.  The complement is kept as a map from premise set to
-    conclusions and saturated in place; no inference of it is built.
+    universe.  The complement is a map from premise set to conclusions,
+    whose rows outside the base are all the one pool row; it is closed by
+    value, and no inference of it is built.
     """
     members, concl = _index_base(base, u)
-    empty: frozenset[Formula] = frozenset()
+    pool = u.formula_set
     complement = {}
     for premises in u._premise_sets:
-        row = set(u.formula_set)
-        row -= concl.get(premises, empty)
+        row = pool - concl[premises] if premises in concl else pool
         if row:
             complement[premises] = row
-    _saturate_cut(complement)
+    closed = _cut_closed(complement)
     return frozenset(
-        inf for inf in members
-        if inf.conclusion not in complement.get(inf.premises, empty)
+        inf for inf in members if inf.conclusion not in closed.get(inf.premises, ())
     )
 
 
@@ -339,18 +341,10 @@ def dual_transitive_closure_direct(
     return frozenset(members)
 
 
-def universe_preserving_substitutions(
-    u: Universe, max_candidates: int = DEFAULT_SUBSTITUTION_CAP
-) -> tuple[dict, ...]:
+def universe_preserving_substitutions(u: Universe) -> tuple[dict, ...]:
     """All substitutions on the universe's atoms mapping every pool formula
     back into the pool.  Unrestricted substitution escapes any finite pool,
     so the Tarskian closure below applies exactly these."""
-    candidate_count = len(u.formulas) ** len(u.atom_names)
-    if candidate_count > max_candidates:
-        raise ResourceLimitError(
-            f"substitution search space has {candidate_count} candidates, "
-            f"above the cap of {max_candidates}"
-        )
     return u._substitutions
 
 
@@ -358,16 +352,17 @@ def tarskian_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
     """Least superset of ``base`` within the universe closed under
     reflexivity, premise monotonicity (up to the cap), cut, and
     universe-preserving substitution: the cut closure of the base and
-    every ``f => f``, widened and substituted once, closed again, until a
-    round adds nothing."""
+    every ``f => f``, whose new members are widened and substituted (both
+    rules act on one inference, so old members need nothing) and closed
+    again, until a round adds nothing."""
     _require_within_cap(u)
     substitutions = universe_preserving_substitutions(u)
     pool = u.formulas
     reflexive = (Inference((f,), f) for f in pool)
-    members = transitive_closure(itertools.chain(base, reflexive), u)
+    fresh = members = transitive_closure(itertools.chain(base, reflexive), u)
     while True:
         added: set[Inference] = set()
-        for inf in members:
+        for inf in fresh:
             if len(inf.premises) < u.premise_cap:
                 for f in pool:
                     if f not in inf.premises:
@@ -380,7 +375,8 @@ def tarskian_closure(base: Iterable[Inference], u: Universe) -> InferenceSet:
                     added.add(image)
         if not added:
             return members
-        members = transitive_closure(members | added, u)
+        closed = transitive_closure(members | added, u)
+        fresh, members = closed - members, closed
 
 
 def check_operator_laws(

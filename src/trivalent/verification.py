@@ -57,6 +57,7 @@ from .characterize import (
     DerivationWitness,
     FamilyMember,
     LatticeFamily,
+    check_star_lattice,
     check_td_equals_star,
     check_ts_collapse,
     derive_classical,
@@ -119,6 +120,11 @@ class VerifyConfig:
     lemma_samples: int = 200
     equivalence_samples: int = 60
     all_pairs: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("corpus_size", "reduced_size", "law_samples", "lemma_samples", "equivalence_samples"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, not {getattr(self, name)}")
 
 
 CORPUS_ATOMS = ("p", "q", "r")
@@ -572,6 +578,12 @@ def claim_prop3(ctx: VerificationContext) -> Report:
     return report
 
 
+def _require_pool(claim: str, pool: list[Formula], least: int) -> None:
+    """Raise before a claim draws from a formula pool too small for it."""
+    if len(pool) < least:
+        raise ValueError(f"{claim} needs at least {least} pool formulas, found {len(pool)} in the corpus")
+
+
 def claim_lemma1(ctx: VerificationContext) -> Report:
     """Sampled reflexivity, monotonicity, cut and substitution instances."""
     report = Report("lemma1")
@@ -586,6 +598,7 @@ def claim_lemma1(ctx: VerificationContext) -> Report:
     pool = [
         f for inf in ctx.corpus_b[:400] for f in (*inf.sorted_premises(), inf.conclusion)
     ]
+    _require_pool("lemma1", pool, 8)
 
     def member(logics, inf):
         return all(is_valid(logic, inf) for logic in logics)
@@ -654,6 +667,7 @@ def claim_facts_45(ctx: VerificationContext) -> Report:
     pool = [
         f for inf in ctx.corpus_b[:200] for f in (*inf.sorted_premises(), inf.conclusion)
     ]
+    _require_pool("facts4-5", pool, 3)
     for scheme in ctx.schemes:
         for standard in (SS, TT):
             logic = LogicSpec(scheme, standard)
@@ -721,7 +735,7 @@ def claim_lattice(ctx: VerificationContext) -> Report:
 def claim_star_lattice(ctx: VerificationContext) -> Report:
     report = Report("star-lattice")
     for run in ctx.runs("star-lattice"):
-        result = verify_lattices(run.family, (), run.universe)
+        result = check_star_lattice(run.family, run.universe)
         report.checks += result.checks
         for finding in result.failures:
             report.record("star-lattice", False, f"{run.label}/{run.universe.describe()}: {finding}")

@@ -22,6 +22,7 @@ from trivalent.closure import Universe, dual_transitive_closure, universe_infere
 from trivalent.characterize import (
     FamilyMember,
     LatticeFamily,
+    check_star_lattice,
     check_td_equals_star,
     check_ts_collapse,
     check_union_gap,
@@ -246,8 +247,8 @@ def test_verify_lattices_smoke(strong, weak, rng):
     family = LatticeFamily(LogicSpec(weak, SS), LogicSpec(strong, TT), LogicSpec(strong, ST))
     sample = [random_inference(rng) for _ in range(150)]
     u = Universe.build(["p", "q"], 1, 2, reserve=["r"])
-    report = verify_lattices(family, sample, u)
-    assert report.passed, report.failures[:3]
+    for report in (verify_lattices(family, sample), check_star_lattice(family, u)):
+        assert report.passed, report.failures[:3]
 
 
 def test_verify_lattices_checks_the_algebra_once(strong, monkeypatch):

@@ -295,6 +295,24 @@ def test_verify_alias_and_unknown_claim(capsys):
     assert code == 2 and "unknown claim" in err
 
 
+@pytest.mark.parametrize(
+    "option", ["--samples", "--reduced", "--law-samples", "--lemma-samples", "--equivalence-samples"]
+)
+def test_verify_rejects_negative_sizes(capsys, option):
+    code, out, err = run(capsys, "verify", "--only", "scheme-enumeration", option, "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "claim, samples, least", [("lemma1", "0", 8), ("lemma1", "1", 8), ("facts4-5", "0", 3)]
+)
+def test_verify_rejects_a_corpus_too_small_for_a_claim(capsys, claim, samples, least):
+    code, out, err = run(capsys, "verify", "--only", claim, "--samples", samples)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {claim} needs at least {least} pool formulas")
+
+
 def test_verify_theorem4_all_pairs(capsys):
     code, payload, _ = run_json(
         capsys, "verify", "--only", "theorem4", "--schemes", "all-pairs",

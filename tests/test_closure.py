@@ -11,6 +11,8 @@ from trivalent.formula import Inference, Var, atoms, parse_inference
 from trivalent.characterize import star_set, valid_subset
 from trivalent.closure import (
     Universe,
+    _cut_closed,
+    _index_base,
     check_operator_laws,
     dual_transitive_closure,
     dual_transitive_closure_direct,
@@ -179,10 +181,14 @@ def test_universe_inferences_computed_once_per_instance():
 
 
 def test_substitution_cap_checked_on_every_call():
-    u = Universe.build(["p", "q"], 1, 2)
-    assert universe_preserving_substitutions(u)
-    with pytest.raises(ResourceLimitError):
-        universe_preserving_substitutions(u, max_candidates=1)
+    assert universe_preserving_substitutions(Universe.build(["p", "q"], 1, 2))
+    u = Universe.build(["p", "q", "r", "s"], 1, 1)
+    assert len(u.formulas) ** len(u.atom_names) == 2_560_000
+    assert u.inference_count() == 1_640
+    for _ in range(2):
+        for call in (universe_preserving_substitutions, lambda v: tarskian_closure((), v)):
+            with pytest.raises(ResourceLimitError):
+                call(u)
 
 
 def test_unary_cut():
@@ -277,6 +283,45 @@ def set_cut_closure(base, u):
         members |= added
 
 
+def saturate_cut(concl):
+    """Reference: all-pairs cut saturation.  It rescans every premise set
+    against every Delta and grows ``concl`` in place until nothing changes;
+    a row holding every conclusion that occurs cannot grow, so it is
+    skipped."""
+    keys = list(concl)
+    deltas = [k for k in keys if k]
+    occurring = len(set().union(*concl.values()))
+    changed = True
+    while changed:
+        changed = False
+        for gamma in keys:
+            derivable = concl[gamma]
+            if len(derivable) == occurring:
+                continue
+            for delta in deltas:
+                if delta <= derivable:
+                    extra = concl[delta]
+                    if not extra <= derivable:
+                        derivable |= extra
+                        changed = True
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_universes(), st.data())
+def test_cut_closed_matches_saturation(u, data):
+    """On a base and on its complement (the dual closure's input), closing
+    each distinct row once gives the saturation's rows and leaves its
+    input alone."""
+    population = universe_inferences(u)
+    base = frozenset(data.draw(st.lists(st.sampled_from(population), max_size=12)))
+    for xs in (base, frozenset(population) - base):
+        _, concl = _index_base(xs, u)
+        _, expected = _index_base(xs, u)
+        saturate_cut(expected)
+        assert _cut_closed(concl) == expected
+        assert concl == _index_base(xs, u)[1]
+
+
 def same_objects(result, base):
     """Every inference of ``result`` found in ``base`` is ``base``'s object."""
     own = {inf: inf for inf in base}
@@ -324,6 +369,17 @@ def naive_tarskian_closure(base, u):
             members |= cut
             changed = True
     return frozenset(members)
+
+
+def test_tarskian_closure_rounds_reach_new_members():
+    """The first round substitutes ``=> q`` from ``=> p``; only the second
+    widens it to ``p => q``.  A closure that widened and substituted only
+    the members it started with would stop at 5 of the 6."""
+    u = Universe([P, Q], 1)
+    base = {parse_inference("=> p")}
+    closed = tarskian_closure(base, u)
+    assert len(closed) == 6
+    assert closed == naive_tarskian_closure(base, u)
 
 
 def test_tarskian_closure_matches_naive_oracle(rng):
